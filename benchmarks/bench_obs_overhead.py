@@ -8,6 +8,12 @@ hard assertion: the instrumented-but-disabled step loop must run within
 2% of the uninstrumented one (min-of-repeats timing, retried to ride
 out scheduler noise on shared CI hosts).
 
+A metrics registry alone keeps a run on the fast slot loop (counters
+and histograms are tallied locally and flushed once per driver block),
+so ``test_enabled_metrics_overhead_budget`` also bounds the *enabled*
+metrics path: an n=16 ``lcf_central_rr`` fast run with a registry
+attached must stay within 2.5x of the same run without one.
+
 The remaining benchmarks are informational: what tracing *costs when
 enabled*, for sizing trace windows before a big capture.
 """
@@ -22,10 +28,14 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.serve import SnapshotExporter, effective_exporter
 from repro.obs.tracer import NullTracer, RingTracer
 from repro.sim.crossbar import InputQueuedSwitch
+from repro.sim.simulator import run_simulation
 from repro.traffic.bernoulli import BernoulliUniform
 
 #: Acceptance budget: disabled-path slowdown on the step loop.
 MAX_DISABLED_OVERHEAD = 1.02
+
+#: Acceptance budget: metrics-on over metrics-off, whole fast run.
+MAX_METRICS_ON_RATIO = 2.5
 
 SLOTS = 400
 
@@ -109,6 +119,33 @@ def test_disabled_exporter_overhead_budget(tmp_path):
         f"(budget {MAX_DISABLED_OVERHEAD}x)"
     )
     assert disabled.writes == 0 and not (tmp_path / "snap.prom").exists()
+
+
+def _fast_run_seconds(metrics: bool) -> float:
+    """Seconds for one whole n=16 ``lcf_central_rr`` fast run."""
+    registry = MetricsRegistry() if metrics else None
+    start = time.perf_counter()
+    run_simulation(BENCH_CONFIG, "lcf_central_rr", 0.9, metrics=registry, fast=True)
+    return time.perf_counter() - start
+
+
+def test_enabled_metrics_overhead_budget():
+    """Attaching a MetricsRegistry keeps the run on the fast loop: the
+    metrics-on run must be within 2.5x of the metrics-off run.
+
+    Whole-run min-of-repeats timing with retries, like the disabled
+    budgets above.
+    """
+    for attempt in range(4):
+        off = min(_fast_run_seconds(False) for _ in range(3))
+        on = min(_fast_run_seconds(True) for _ in range(3))
+        ratio = on / off
+        if ratio <= MAX_METRICS_ON_RATIO:
+            return
+    assert ratio <= MAX_METRICS_ON_RATIO, (
+        f"metrics-on fast run costs {ratio:.2f}x the metrics-off run "
+        f"(budget {MAX_METRICS_ON_RATIO}x)"
+    )
 
 
 def test_step_loop_uninstrumented(benchmark):

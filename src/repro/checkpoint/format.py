@@ -4,7 +4,7 @@ A checkpoint file is one JSON document::
 
     {
       "format": "repro-checkpoint",
-      "version": 1,
+      "version": 2,
       "checksum": "<sha256 of the canonical payload JSON>",
       "payload": { ... }
     }
@@ -45,7 +45,9 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: Bump when the payload schema changes incompatibly. Loaders reject
 #: any other version instead of guessing — the golden-format gate
 #: (``tools/check_checkpoint_format.py``) makes the bump deliberate.
-CHECKPOINT_VERSION = 1
+#: Version 2: the switch's live delay state is an exact
+#: ``DelayHistogram`` (version 1 carried P² quantile markers).
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(Exception):

@@ -2,7 +2,7 @@
 
 The simulation's mutable state lives in plain attribute dicts:
 scheduler pointers, VOQ deques, PCG64 generators, Welford accumulators,
-P² quantile markers, health-estimator arrays. :func:`snapshot_state`
+delay-histogram counts, health-estimator arrays. :func:`snapshot_state`
 walks ``vars(obj)`` (extended to ``__slots__``-backed classes) and
 encodes every value into tagged, deterministic
 JSON; :func:`restore_state` decodes it back *onto a freshly constructed

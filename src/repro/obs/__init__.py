@@ -13,8 +13,8 @@ schedulers, and sweep engine:
 * :mod:`repro.obs.probe` — :class:`MatchingQualityProbe`, achieved
   versus maximum matching size;
 * :mod:`repro.obs.estimators` — online :class:`RateEstimator` (per-pair
-  EWMA) and :class:`P2Quantile` / :class:`StreamingQuantiles` (live
-  delay percentiles without sample storage);
+  EWMA) and :class:`DelayHistogram` (exact live delay percentiles
+  from per-value counts);
 * :mod:`repro.obs.serve` — :class:`MetricsSnapshot` OpenMetrics/JSON
   rendering, the periodic :class:`SnapshotExporter`, and the HTTP
   :class:`ScrapeEndpoint`;
@@ -33,7 +33,7 @@ from repro.obs.analytics import (
     MessageAccountingReport,
 )
 from repro.obs.chrome import to_chrome_trace, write_chrome_trace
-from repro.obs.estimators import P2Quantile, RateEstimator, StreamingQuantiles
+from repro.obs.estimators import DelayHistogram, RateEstimator
 from repro.obs.events import EVENT_SCHEMA, EVENT_TYPES, validate_event
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.probe import MatchingQualityProbe
@@ -72,8 +72,7 @@ __all__ = [
     "MetricsRegistry",
     "MatchingQualityProbe",
     "RateEstimator",
-    "P2Quantile",
-    "StreamingQuantiles",
+    "DelayHistogram",
     "MetricsSnapshot",
     "SnapshotExporter",
     "ScrapeEndpoint",

@@ -295,11 +295,11 @@ def decision_summary(
         f"RR-override rate        {_rate(overrides, slots):8.3f} per slot  "
         f"({_rate(overrides, grants):.4f} of grants)"
     )
-    quantiles = switch.delay_quantiles
-    if quantiles is not None and quantiles.count:
+    delays = switch.delay_histogram
+    if delays is not None and delays.count:
         lines.append(
-            f"live delay percentiles  {quantiles.summary()}  "
-            f"(P2 streaming, {quantiles.count} samples)"
+            f"live delay percentiles  {delays.summary()}  "
+            f"(exact, {delays.count} samples)"
         )
     estimator = switch.rate_estimator
     if estimator is not None and estimator.events:

@@ -1,4 +1,4 @@
-"""Online estimators: per-pair EWMA rates and P² streaming quantiles.
+"""Online estimators: per-pair EWMA rates and an exact delay histogram.
 
 The serving layer (:mod:`repro.obs.serve`) exposes *live* values while a
 simulation is still running, which rules out anything that stores
@@ -13,11 +13,11 @@ actually needs:
   outage the affected row/column visibly decays toward zero and climbs
   back as the switch heals — the signal the ROADMAP's "watch a faulted
   switch heal" item asks for.
-* :class:`P2Quantile` — the Jain–Chlamtac P² algorithm: one quantile
-  estimate from five markers, O(1) per observation, no sample storage.
-  :class:`StreamingQuantiles` bundles the standard p50/p90/p99 delay
-  set. Accuracy against exact percentiles is property-tested in
-  ``tests/obs/test_estimators.py``.
+* :class:`DelayHistogram` — packet delays are small non-negative
+  integers, so one count per delay value holds the whole distribution
+  in O(max delay) memory: O(1) per observation, mergeable across runs,
+  and its percentiles are *exact* — equal to ``np.percentile`` over the
+  stored samples (property-tested in ``tests/obs/test_estimators.py``).
 
 Both are pure Python/numpy state machines with no export opinion; the
 switch wires them into its :class:`~repro.obs.metrics.MetricsRegistry`
@@ -26,11 +26,25 @@ as collector-refreshed gauges (see ``docs/OBSERVABILITY.md``).
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
 
 import numpy as np
 
-__all__ = ["RateEstimator", "P2Quantile", "StreamingQuantiles"]
+__all__ = ["RateEstimator", "DelayHistogram"]
+
+
+#: Decay gaps (slots since a pair's last event) served from a table.
+_DECAY_TABLE_GAPS = 1024
+
+
+@functools.cache
+def _decay_table(alpha: float) -> tuple[float, ...]:
+    """``(1 - alpha) ** gap`` for every ``gap < _DECAY_TABLE_GAPS``."""
+    powers = (1.0 - alpha) ** np.arange(_DECAY_TABLE_GAPS, dtype=np.int64)
+    return tuple(powers.tolist())
 
 
 class RateEstimator:
@@ -47,6 +61,13 @@ class RateEstimator:
     are O(1) and a full :meth:`matrix` read is one vectorised
     expression. The estimate converges to the pair's true service rate
     (events/slot) with time constant ``~1/alpha`` slots.
+
+    Per-pair state lives in flat Python lists (index ``input * n +
+    output``) and decay factors for short gaps come from a per-alpha
+    table: ``observe`` runs once per forwarded packet, and a list read
+    costs a fraction of numpy scalar indexing and ``pow``. The table is
+    computed with numpy's own power, so every value is bit-identical to
+    evaluating ``(1 - alpha) ** gap`` in numpy.
     """
 
     def __init__(self, n: int, alpha: float = 0.02):
@@ -56,32 +77,41 @@ class RateEstimator:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.n = n
         self.alpha = alpha
-        self._value = np.zeros((n, n), dtype=np.float64)
-        self._slot = np.zeros((n, n), dtype=np.int64)
+        self._value = [0.0] * (n * n)
+        self._slot = [0] * (n * n)
         self.events = 0
 
     def reset(self) -> None:
-        self._value[:] = 0.0
-        self._slot[:] = 0
+        self._value = [0.0] * (self.n * self.n)
+        self._slot = [0] * (self.n * self.n)
         self.events = 0
+
+    def _decay(self, gap: int) -> float:
+        """``(1 - alpha) ** gap``, evaluated as numpy evaluates it."""
+        table = _decay_table(self.alpha)
+        if gap < len(table):
+            return table[gap]
+        return float((1.0 - self.alpha) ** np.int64(gap))
 
     def observe(self, input: int, output: int, slot: int) -> None:
         """Record one event for a pair at ``slot`` (non-decreasing)."""
-        decay = (1.0 - self.alpha) ** (slot - self._slot[input, output])
-        self._value[input, output] = (
-            self._value[input, output] * decay + self.alpha
-        )
-        self._slot[input, output] = slot
+        pair = input * self.n + output
+        decay = self._decay(slot - self._slot[pair])
+        self._value[pair] = self._value[pair] * decay + self.alpha
+        self._slot[pair] = slot
         self.events += 1
 
     def rate(self, input: int, output: int, at_slot: int) -> float:
         """The pair's estimated events/slot as of ``at_slot``."""
-        decay = (1.0 - self.alpha) ** (at_slot - self._slot[input, output])
-        return float(self._value[input, output] * decay)
+        pair = input * self.n + output
+        return self._value[pair] * self._decay(at_slot - self._slot[pair])
 
     def matrix(self, at_slot: int) -> np.ndarray:
         """The full ``(n, n)`` rate matrix decayed to ``at_slot``."""
-        return self._value * (1.0 - self.alpha) ** (at_slot - self._slot)
+        shape = (self.n, self.n)
+        value = np.array(self._value, dtype=np.float64).reshape(shape)
+        slots = np.array(self._slot, dtype=np.int64).reshape(shape)
+        return value * (1.0 - self.alpha) ** (at_slot - slots)
 
     def input_rates(self, at_slot: int) -> np.ndarray:
         """Per-input total service rate (row sums) at ``at_slot``."""
@@ -106,132 +136,74 @@ class RateEstimator:
         ]
 
 
-class P2Quantile:
-    """One streaming quantile via the P² algorithm (Jain & Chlamtac '85).
+class DelayHistogram:
+    """Exact distribution of non-negative integer samples (packet delays).
 
-    Five markers track the minimum, the q/2, q, and (1+q)/2 quantiles,
-    and the maximum; marker heights move by parabolic (falling back to
-    linear) interpolation as observations stream in. Until five samples
-    have arrived the estimate is read off the sorted warm-up buffer, so
-    :attr:`value` is always defined once anything was observed.
+    ``counts[v]`` is the number of samples equal to ``v``; the list grows
+    on demand, so memory is O(largest sample), never O(samples), and an
+    observation is one list increment. Two histograms :meth:`merge` by
+    adding counts — the same distribution as one histogram fed both
+    streams. :meth:`percentiles` reads order statistics off the
+    cumulative counts with ``np.percentile``'s default ("linear")
+    interpolation, so the result equals ``np.percentile`` over the
+    samples themselves, bit for bit.
     """
 
-    def __init__(self, q: float):
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        self.q = q
-        self.count = 0
-        self._heights: list[float] = []
-        # Marker positions (1-based, per the paper) and desired positions.
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
+    DEFAULT_PERCENTILES = (50.0, 90.0, 99.0)
 
-    def reset(self) -> None:
-        self.count = 0
-        self._heights = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * self.q, 1.0 + 4.0 * self.q,
-                         3.0 + 2.0 * self.q, 5.0]
-
-    def add(self, x: float) -> None:
-        self.count += 1
-        heights = self._heights
-        if self.count <= 5:
-            heights.append(float(x))
-            heights.sort()
-            return
-
-        # Find the cell k such that heights[k] <= x < heights[k+1],
-        # stretching the extreme markers when x falls outside them.
-        if x < heights[0]:
-            heights[0] = float(x)
-            k = 0
-        elif x >= heights[4]:
-            heights[4] = float(x)
-            k = 3
-        else:
-            k = 0
-            while k < 3 and not (heights[k] <= x < heights[k + 1]):
-                k += 1
-
-        positions = self._positions
-        for index in range(k + 1, 5):
-            positions[index] += 1.0
-        for index in range(5):
-            self._desired[index] += self._increments[index]
-
-        # Adjust the three interior markers toward their desired spots.
-        for index in (1, 2, 3):
-            delta = self._desired[index] - positions[index]
-            below = positions[index] - positions[index - 1]
-            above = positions[index + 1] - positions[index]
-            if (delta >= 1.0 and above > 1.0) or (delta <= -1.0 and below > 1.0):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(index, step)
-                if heights[index - 1] < candidate < heights[index + 1]:
-                    heights[index] = candidate
-                else:
-                    heights[index] = self._linear(index, step)
-                positions[index] += step
-
-    def _parabolic(self, i: int, d: float) -> float:
-        h, p = self._heights, self._positions
-        return h[i] + d / (p[i + 1] - p[i - 1]) * (
-            (p[i] - p[i - 1] + d) * (h[i + 1] - h[i]) / (p[i + 1] - p[i])
-            + (p[i + 1] - p[i] - d) * (h[i] - h[i - 1]) / (p[i] - p[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        h, p = self._heights, self._positions
-        step = int(d)
-        return h[i] + d * (h[i + step] - h[i]) / (p[i + step] - p[i])
+    def __init__(self) -> None:
+        self.counts: list[int] = []
 
     @property
-    def value(self) -> float:
-        """The current quantile estimate (NaN before any observation)."""
-        if self.count == 0:
-            return math.nan
-        if self.count <= 5:
-            # Exact quantile of the warm-up buffer (nearest-rank blend).
-            rank = self.q * (len(self._heights) - 1)
-            low = int(rank)
-            high = min(low + 1, len(self._heights) - 1)
-            frac = rank - low
-            return self._heights[low] * (1.0 - frac) + self._heights[high] * frac
-        return self._heights[2]
+    def count(self) -> int:
+        """Samples observed so far."""
+        return sum(self.counts)
 
+    def add(self, value: int) -> None:
+        counts = self.counts
+        if 0 <= value < len(counts):
+            counts[value] += 1
+            return
+        if value < 0:
+            raise ValueError(f"delays are non-negative, got {value}")
+        counts.extend([0] * (value + 1 - len(counts)))
+        counts[value] += 1
 
-class StreamingQuantiles:
-    """A bank of :class:`P2Quantile` cells fed from one stream.
+    def merge(self, other: "DelayHistogram") -> None:
+        """Add another histogram's samples to this one."""
+        counts = self.counts
+        if len(other.counts) > len(counts):
+            counts.extend([0] * (len(other.counts) - len(counts)))
+        for value, times in enumerate(other.counts):
+            counts[value] += times
 
-    The default quantile set is the delay dashboard's p50/p90/p99.
-    """
-
-    DEFAULT_QS = (0.5, 0.9, 0.99)
-
-    def __init__(self, qs: tuple[float, ...] = DEFAULT_QS):
-        if not qs:
-            raise ValueError("need at least one quantile")
-        self.cells = {q: P2Quantile(q) for q in qs}
-        self.count = 0
-
-    def add(self, x: float) -> None:
-        self.count += 1
-        for cell in self.cells.values():
-            cell.add(x)
-
-    def reset(self) -> None:
-        self.count = 0
-        for cell in self.cells.values():
-            cell.reset()
-
-    def values(self) -> dict[float, float]:
-        """``{quantile: estimate}`` for every tracked quantile."""
-        return {q: cell.value for q, cell in self.cells.items()}
+    def percentiles(
+        self, percentiles: tuple[float, ...] = DEFAULT_PERCENTILES
+    ) -> dict[float, float]:
+        """``{p: value}`` for each percentile ``p`` in [0, 100]; NaN when
+        empty — the same values :func:`repro.sim.metrics.latency_percentiles`
+        returns for the stored samples."""
+        cumulative = list(itertools.accumulate(self.counts))
+        total = cumulative[-1] if cumulative else 0
+        if not total:
+            return {p: math.nan for p in percentiles}
+        out = {}
+        for p in percentiles:
+            # np.percentile's linear method: the virtual index (N-1)*q
+            # falls between the order statistics at floor and floor+1,
+            # lerped as numpy's _lerp does (from the upper end once the
+            # weight reaches 0.5). The k-th smallest sample is the first
+            # value whose cumulative count exceeds k.
+            virtual = (total - 1) * (p / 100)
+            low = math.floor(virtual)
+            gamma = virtual - low
+            a = bisect.bisect_right(cumulative, low)
+            b = bisect.bisect_right(cumulative, min(low + 1, total - 1))
+            diff = b - a
+            out[p] = float(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
+        return out
 
     def summary(self) -> str:
-        parts = [
-            f"p{q * 100:g}={cell.value:.2f}" for q, cell in sorted(self.cells.items())
-        ]
-        return "  ".join(parts)
+        return "  ".join(
+            f"p{p:g}={value:.2f}" for p, value in self.percentiles().items()
+        )

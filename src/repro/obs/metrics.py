@@ -84,17 +84,25 @@ class Histogram:
         self.max = -math.inf
 
     def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
+        self.observe_many(value, 1)
+
+    def observe_many(self, value: float, times: int) -> None:
+        """Record ``times`` observations of one ``value`` at once — the
+        same state as ``times`` calls of :meth:`observe` (exactly, for
+        integer values), at the cost of one."""
+        if times <= 0:
+            return
+        self.count += times
+        self.total += value * times
         if value < self.min:
             self.min = value
         if value > self.max:
             self.max = value
         index = bisect.bisect_left(self.edges, value)
         if index == len(self.edges):
-            self.overflow += 1
+            self.overflow += times
         else:
-            self.counts[index] += 1
+            self.counts[index] += times
 
     @property
     def mean(self) -> float:

@@ -24,8 +24,11 @@ Three pieces, layered:
 
 Every export path calls :meth:`MetricsRegistry.collect` (through
 :meth:`MetricsSnapshot.capture`), so collector-backed gauges — the live
-rate matrix, P² delay percentiles, active suspects — are refreshed at
-scrape time and never on the hot path.
+rate matrix, exact delay percentiles, active suspects — are refreshed
+at scrape time and never on the hot path. A switch on the fast slot
+loop adds its counters and histograms to the registry once per driver
+block, so a scrape between exporter ticks may trail the simulation by
+up to :data:`~repro.sim.simulator._SLOT_BLOCK` slots.
 """
 
 from __future__ import annotations

@@ -24,6 +24,18 @@ tie-break-depth distributions). With neither attached — or with a
 ``is not None`` check per stage and nothing else; results are
 bit-identical to an uninstrumented run (property-tested).
 
+A tracer needs every event in order, so it keeps the switch on the
+instrumented loop. Metrics alone do not: a switch whose only
+instrumentation is a registry runs the fast bitmask loop, tallies its
+counters and histograms in local ints and count lists, and adds them
+to the registry when :meth:`InputQueuedSwitch.run_slots` returns —
+once per driver block (``_SLOT_BLOCK`` = 64 slots), so a scrape taken
+mid-block lags the simulation by at most that many slots. The
+choice-count and tie-break-depth histograms come from the decision
+records the kernels keep when ``record_trace`` is set, on either loop.
+The live ``delay_p*`` gauges are exact percentiles of every forwarded
+delay (:class:`~repro.obs.estimators.DelayHistogram`).
+
 Fault stances: with an ``injector`` alone the switch is *informed* —
 requests over faulted crosspoints are masked out before the scheduler
 sees them (an oracle tells it the fault state). Attaching an
@@ -44,7 +56,7 @@ from repro.core.lcf_central import StepTrace
 from repro.core.lcf_dist import IterationTrace
 from repro.faults.injector import FaultInjector
 from repro.obs import events as ev
-from repro.obs.estimators import RateEstimator, StreamingQuantiles
+from repro.obs.estimators import DelayHistogram, RateEstimator
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer, effective_tracer
 from repro.sim.config import SimConfig
@@ -107,17 +119,17 @@ class InputQueuedSwitch:
             self._m_forwarded = metrics.counter("forwarded")
             self._m_dropped = metrics.counter("dropped")
             self._m_arrivals = metrics.counter("arrivals")
-            # Live estimators: cheap O(1) updates in _record_forward;
+            # Live estimators: cheap O(1) updates per forward;
             # everything derived from them (rate gauges, delay
             # percentiles, queue depths) is refreshed lazily by the
             # collector below, so only scrapes/snapshots pay for it.
             self.rate_estimator = RateEstimator(n)
-            self.delay_quantiles = StreamingQuantiles()
+            self.delay_histogram = DelayHistogram()
             self._live_slot = 0
             metrics.add_collector("switch-live", self._collect_live)
         else:
             self.rate_estimator = None
-            self.delay_quantiles = None
+            self.delay_histogram = None
         #: (i, j) when the distributed RR overlay will pre-match this slot.
         self._pending_rr: tuple[int, int] | None = None
 
@@ -160,11 +172,13 @@ class InputQueuedSwitch:
         self.recovery_events = 0
         self.degraded_slots = 0
         self.masked_grants = 0
-        # Uninstrumented slots with a bitmask-kernel scheduler take the
+        # Untraced slots with a bitmask-kernel scheduler take the
         # branch-free fast loop: requests come straight from the VOQ
         # bitmasks, so no request matrix, no defensive copy and no numpy
-        # scratch is ever allocated. Results are bit-identical to the
-        # instrumented loop (property-tested in tests/fastpath/).
+        # scratch is ever allocated. A metrics registry alone keeps the
+        # fast loop (tallies are flushed per block). Results and metrics
+        # are bit-identical to the instrumented loop (property-tested in
+        # tests/fastpath/ and tests/obs/).
         # The capability probe is type-level on purpose: wrappers like
         # RequestLossFilter forward unknown attributes to their inner
         # scheduler, and a forwarded schedule_masks would bypass the
@@ -196,7 +210,7 @@ class InputQueuedSwitch:
             "schedule_masks" if self.voqs.row_words is None else "schedule_words"
         )
         return (
-            not self._observing
+            self.tracer is None
             and self.injector is None
             and self.adapter is None
             and self.output_gate is None
@@ -269,7 +283,7 @@ class InputQueuedSwitch:
     def step(self, slot: int, arrivals: np.ndarray) -> np.ndarray:
         """Advance one time slot; returns the schedule that was applied."""
         if self._fast_slot:
-            return self._step_fast(slot, arrivals)
+            return np.array(self._run_fast(slot, (arrivals,)), dtype=np.int64)
         observing = self._observing
         injector = self.injector
         if injector is not None:
@@ -405,55 +419,6 @@ class InputQueuedSwitch:
             self.service.record(schedule)
         return schedule
 
-    def _step_fast(self, slot: int, arrivals: np.ndarray) -> np.ndarray:
-        """The uninstrumented slot loop over VOQ bitmasks.
-
-        Same four stages in the same order as :meth:`step`, but the
-        scheduler is fed the incrementally-maintained request bitmasks
-        (``VOQSet.row_masks`` / ``col_masks``) instead of a freshly
-        built boolean matrix, and all bookkeeping stays in plain Python
-        ints. Statistics are bit-identical to the general loop.
-        """
-        measuring = self.measuring
-        pqs = self.pqs
-        voqs = self.voqs
-
-        # 1. Generation into PQs.
-        for i, dst in enumerate(arrivals.tolist()):
-            if dst != NO_ARRIVAL:
-                if measuring:
-                    self.offered += 1
-                pqs[i].push(dst, slot)
-
-        # 2. Injection: one packet per input link per slot, head blocking.
-        for i, pq in enumerate(pqs):
-            head = pq.head()
-            if head is not None and voqs.has_space(i, head[0]):
-                dst, t_generated = pq.pop()
-                voqs.push(i, dst, t_generated)
-
-        # 3. Scheduling straight off the maintained bitmasks (the kernel
-        #    only reads them; forwarding below updates them via pop).
-        if voqs.row_words is None:
-            grants = self.scheduler.schedule_masks(voqs.row_masks, voqs.col_masks)
-        else:
-            grants = self.scheduler.schedule_words(voqs.row_words, voqs.col_words)
-
-        # 4. Forwarding.
-        for i, j in enumerate(grants):
-            if j == NO_GRANT:
-                continue
-            delay = slot - voqs.pop(i, j) + 1
-            if measuring:
-                self.forwarded += 1
-                self.latency.add(delay)
-                if self.latency_samples is not None:
-                    self.latency_samples.append(delay)
-        schedule = np.array(grants, dtype=np.int64)
-        if measuring and self.service is not None:
-            self.service.record(schedule)
-        return schedule
-
     def run_slots(self, first_slot: int, arrivals_block: list[np.ndarray]) -> None:
         """Advance one consecutive block of slots.
 
@@ -469,37 +434,66 @@ class InputQueuedSwitch:
         ``measuring`` must not change mid-block — the simulation driver
         splits its blocks at the warmup boundary.
         """
-        if not self._fast_slot:
-            slot = first_slot
-            for arrivals in arrivals_block:
-                self.step(slot, arrivals)
-                slot += 1
+        if self._fast_slot:
+            self._run_fast(first_slot, arrivals_block)
             return
+        slot = first_slot
+        for arrivals in arrivals_block:
+            self.step(slot, arrivals)
+            slot += 1
 
+    def _run_fast(self, first_slot: int, arrivals_block) -> list[int]:
+        """The branch-free slot loop over VOQ bitmasks; returns the last
+        slot's grant list.
+
+        Same four stages in the same order as :meth:`step`, but the
+        scheduler is fed the incrementally-maintained request bitmasks
+        (``VOQSet.row_masks`` / ``col_masks``, or the word tuples past
+        64 ports) instead of a freshly built boolean matrix, and all
+        bookkeeping stays in plain Python ints. With a metrics registry
+        attached, counters and histograms are tallied locally and added
+        to the registry once, when the block ends.
+        """
         measuring = self.measuring
         pqs = self.pqs
         voqs = self.voqs
         has_space = voqs.has_space
         voq_push = voqs.push
         voq_pop = voqs.pop
+        scheduler = self.scheduler
         if voqs.row_words is None:
-            kernel = self.scheduler.schedule_masks
+            kernel = scheduler.schedule_masks
             rows, cols = voqs.row_masks, voqs.col_masks
         else:
-            kernel = self.scheduler.schedule_words
+            kernel = scheduler.schedule_words
             rows, cols = voqs.row_words, voqs.col_words
         latency_add = self.latency.add
         samples = self.latency_samples
         service = self.service if measuring else None
-        offered = forwarded = 0
+        metered = self.metrics is not None
+        if metered:
+            n = self.n
+            masks = voqs.row_masks
+            rate_observe = self.rate_estimator.observe
+            delay_add = self.delay_histogram.add
+            matching = [0] * (n + 1)
+            choices = [0] * (n + 1)
+            depths = [0] * n
+            overrides = 0
+            dropped_before = self.dropped
+            live_slot = self._live_slot
+        # The distributed RR overlay pre-matches its position before the
+        # kernel's iterations run, so its record never shows that grant.
+        track_rr = metered and getattr(scheduler, "rr_position", None) is not None
+        arrived = forwarded = 0
+        grants: list[int] = []
 
         slot = first_slot
         for arrivals in arrivals_block:
             # 1. Generation into PQs.
             for i, dst in enumerate(arrivals.tolist()):
                 if dst != NO_ARRIVAL:
-                    if measuring:
-                        offered += 1
+                    arrived += 1
                     pqs[i].push(dst, slot)
 
             # 2. Injection: one packet per input link per slot.
@@ -509,25 +503,49 @@ class InputQueuedSwitch:
                     dst, t_generated = pq.pop()
                     voq_push(i, dst, t_generated)
 
-            # 3. Scheduling straight off the maintained bitmasks.
+            # 3. Scheduling straight off the maintained bitmasks (the
+            #    kernel only reads them; forwarding updates them via pop).
+            if track_rr:
+                rr_i, rr_j = scheduler.rr_position
+                self._pending_rr = (
+                    (rr_i, rr_j) if masks[rr_i] >> rr_j & 1 else None
+                )
             grants = kernel(rows, cols)
 
             # 4. Forwarding.
+            slot_start = forwarded
             for i, j in enumerate(grants):
                 if j == NO_GRANT:
                     continue
                 delay = slot - voq_pop(i, j) + 1
+                forwarded += 1
                 if measuring:
-                    forwarded += 1
                     latency_add(delay)
                     if samples is not None:
                         samples.append(delay)
+                if metered:
+                    rate_observe(i, j, slot)
+                    delay_add(delay)
+            if metered:
+                size = forwarded - slot_start
+                matching[size] += 1
+                if size:
+                    live_slot = slot
+                overrides += self._fold_decisions(choices, depths)
             if service is not None:
                 service.record(np.array(grants, dtype=np.int64))
             slot += 1
 
-        self.offered += offered
-        self.forwarded += forwarded
+        if measuring:
+            self.offered += arrived
+            self.forwarded += forwarded
+        if metered:
+            self._flush_decisions(matching, choices, depths, overrides)
+            self._m_arrivals.inc(arrived)
+            self._m_dropped.inc(self.dropped - dropped_before)
+            self._m_forwarded.inc(forwarded)
+            self._live_slot = live_slot
+        return grants
 
     # -- fault tracking (only reached with an injector attached) --
 
@@ -619,7 +637,23 @@ class InputQueuedSwitch:
         self, slot: int, schedule: np.ndarray, request_total: int
     ) -> None:
         """Translate the scheduler's decision recorder into events/metrics."""
-        tracer, metrics = self.tracer, self.metrics
+        matching_size = int(np.count_nonzero(schedule != NO_GRANT))
+        if self.tracer is not None:
+            self._trace_decisions(slot, matching_size, request_total)
+        if self.metrics is not None:
+            n = self.n
+            matching = [0] * (n + 1)
+            matching[matching_size] = 1
+            choices = [0] * (n + 1)
+            depths = [0] * n
+            overrides = self._fold_decisions(choices, depths)
+            self._flush_decisions(matching, choices, depths, overrides)
+
+    def _trace_decisions(
+        self, slot: int, matching_size: int, request_total: int
+    ) -> None:
+        """Emit the decision-recorder events and the slot summary."""
+        tracer = self.tracer
         trace = getattr(self.scheduler, "last_trace", None)
         if trace and isinstance(trace[0], StepTrace):
             # Central LCF: one record per per-output allocation step.
@@ -630,51 +664,81 @@ class InputQueuedSwitch:
                     tie_depth = (granted - step.rr_row) % self.n
                 else:
                     choices = tie_depth = -1
-                if tracer is not None:
-                    tracer.emit(
-                        ev.sched_step(
-                            slot, step.output, step.rr_row, granted,
-                            step.rr_won, choices, tie_depth,
-                        )
+                tracer.emit(
+                    ev.sched_step(
+                        slot, step.output, step.rr_row, granted,
+                        step.rr_won, choices, tie_depth,
                     )
-                    if step.rr_won:
-                        tracer.emit(ev.rr_override(slot, granted, step.output))
-                if metrics is not None and granted != NO_GRANT:
-                    self._m_choices.observe(choices)
-                    self._m_tie_depth.observe(tie_depth)
-                    if step.rr_won:
-                        self._m_rr.inc()
+                )
+                if step.rr_won:
+                    tracer.emit(ev.rr_override(slot, granted, step.output))
         elif trace and isinstance(trace[0], IterationTrace):
             # Distributed LCF: one record per request/grant/accept round.
             for index, it in enumerate(trace):
-                if tracer is not None:
-                    tracer.emit(
-                        ev.iteration(
-                            slot,
-                            index,
-                            int(it.grants.sum()),
-                            len(it.accepts),
-                            requests=int(it.requests.sum()),
-                        )
+                tracer.emit(
+                    ev.iteration(
+                        slot,
+                        index,
+                        int(it.grants.sum()),
+                        len(it.accepts),
+                        requests=int(it.requests.sum()),
                     )
-                if metrics is not None:
-                    for i, _ in it.accepts:
-                        self._m_choices.observe(int(it.nrq[i]))
+                )
             if self._pending_rr is not None:
-                rr_i, rr_j = self._pending_rr
-                if tracer is not None:
-                    tracer.emit(ev.rr_override(slot, rr_i, rr_j))
-                if metrics is not None:
-                    self._m_rr.inc()
+                tracer.emit(ev.rr_override(slot, *self._pending_rr))
+        voq = [int(x) for x in self.voqs.occupancy.sum(axis=1)]
+        tracer.emit(ev.slot_summary(slot, matching_size, request_total, voq))
 
-        matching_size = int(np.count_nonzero(schedule != NO_GRANT))
-        if tracer is not None:
-            voq = [int(x) for x in self.voqs.occupancy.sum(axis=1)]
-            tracer.emit(ev.slot_summary(slot, matching_size, request_total, voq))
-        if metrics is not None:
-            self._m_slots.inc()
-            self._m_grants.inc(matching_size)
-            self._m_matching.observe(matching_size)
+    def _fold_decisions(self, choices: list[int], depths: list[int]) -> int:
+        """Count the last slot's decisions into per-value tallies.
+
+        Reads the scheduler's decision recorder: each granted central
+        LCF step adds the winner's remaining choices to ``choices`` and
+        its tie-break chain depth to ``depths``; each distributed accept
+        adds the accepting input's request count to ``choices``. Returns
+        the slot's RR overrides (central steps the RR row won, or the
+        distributed overlay's pre-match noted in ``_pending_rr``).
+        """
+        trace = getattr(self.scheduler, "last_trace", None)
+        if not trace:
+            return 0
+        if isinstance(trace[0], StepTrace):
+            n = self.n
+            overrides = 0
+            for step in trace:
+                granted = step.granted
+                if granted != NO_GRANT:
+                    choices[step.nrq_before[granted]] += 1
+                    depths[(granted - step.rr_row) % n] += 1
+                    overrides += step.rr_won
+            return overrides
+        if isinstance(trace[0], IterationTrace):
+            for it in trace:
+                for i, _ in it.accepts:
+                    choices[it.nrq[i]] += 1
+            return int(self._pending_rr is not None)
+        return 0
+
+    def _flush_decisions(
+        self,
+        matching: list[int],
+        choices: list[int],
+        depths: list[int],
+        overrides: int,
+    ) -> None:
+        """Add per-value tallies (index = observed value) and the slot
+        and grant counts they imply to the registry."""
+        for histogram, counts in (
+            (self._m_matching, matching),
+            (self._m_choices, choices),
+            (self._m_tie_depth, depths),
+        ):
+            for value, times in enumerate(counts):
+                if times:
+                    histogram.observe_many(value, times)
+        self._m_slots.inc(sum(matching))
+        self._m_grants.inc(sum(size * times for size, times in enumerate(matching)))
+        self._m_rr.inc(overrides)
 
     def _record_forward(self, slot: int, input: int, output: int, delay: int) -> None:
         if self.tracer is not None:
@@ -682,7 +746,7 @@ class InputQueuedSwitch:
         if self.metrics is not None:
             self._m_forwarded.inc()
             self.rate_estimator.observe(input, output, slot)
-            self.delay_quantiles.add(delay)
+            self.delay_histogram.add(delay)
             self._live_slot = slot
 
     def _collect_live(self) -> None:
@@ -706,8 +770,8 @@ class InputQueuedSwitch:
             gauge(f"rate_input_{i}").set(float(rows[i]))
             gauge(f"rate_output_{i}").set(float(cols[i]))
         gauge("rate_total").set(float(matrix.sum()))
-        for q, value in self.delay_quantiles.values().items():
-            gauge(f"delay_p{q * 100:g}".replace(".", "_")).set(value)
+        for p, value in self.delay_histogram.percentiles().items():
+            gauge(f"delay_p{p:g}".replace(".", "_")).set(value)
         gauge("queued_total").set(self.total_queued())
         if self.injector is not None:
             gauge("ports_down_input").set(int(self._down_in_prev.sum()))

@@ -125,9 +125,10 @@ def build_switch(
 
     ``fast=True`` selects the :mod:`repro.fastpath` bitmask kernel for
     the scheduler when one exists (bit-identical results, several times
-    the slot rate) and lets the crossbar take its uninstrumented fast
-    loop; names without a fast kernel fall back to the reference
-    implementation, so the flag is always safe.
+    the slot rate) and lets the crossbar take its untraced fast loop
+    (a ``metrics`` registry alone keeps it); names without a fast kernel
+    fall back to the reference implementation, so the flag is always
+    safe.
     """
     if scheduler_name in ("outbuf", "fifo"):
         if injector is not None:

@@ -10,6 +10,7 @@ leave a partial artifact behind.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,9 @@ from repro.checkpoint import (
 from repro.ioutil import atomic_write_text
 from repro.sim.config import SimConfig
 from repro.sim.simulator import run_simulation
+
+#: The golden checkpoint as written by format version 1.
+V1_CHECKPOINT = Path(__file__).resolve().parent.parent / "data" / "checkpoint_v1.json"
 
 
 @pytest.fixture
@@ -78,6 +82,13 @@ class TestEnvelopeValidation:
         checkpoint.write_text(json.dumps(envelope))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(checkpoint)
+
+    def test_version_1_file_rejected(self):
+        # A real version-1 file (it carries P² quantile markers the
+        # current switch no longer has): intact, checksummed, refused.
+        with pytest.raises(CheckpointError, match="version 1") as caught:
+            load_checkpoint(V1_CHECKPOINT)
+        assert "\n" not in str(caught.value)
 
     def test_non_object_document(self, checkpoint):
         checkpoint.write_text(json.dumps(["not", "an", "object"]))
@@ -133,6 +144,17 @@ class TestCLIExitStatus:
 
         assert main(["--resume", corrupt]) == 2
         assert "checkpoint" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize(
+        "module", ["repro.obs.cli", "repro.faults.cli", "repro.adapt.cli"]
+    )
+    def test_version_1_file_exits_2_with_one_line(self, module, capsys):
+        import importlib
+
+        main = importlib.import_module(module).main
+        assert main(["--resume", str(V1_CHECKPOINT)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "version 1" in err and len(err.splitlines()) == 1
 
 
 class TestAtomicWrite:

@@ -168,6 +168,29 @@ class TestRoundtripFastTier:
 
         assert render_openmetrics(m_resumed) == render_openmetrics(m_straight)
 
+    @pytest.mark.parametrize("scheduler", ["lcf_central_rr", "lcf_dist_rr"])
+    def test_fast_loop_metrics_resume_mid_block(self, scheduler, tmp_path):
+        # A metrics-only fast run tallies per driver block (64 slots);
+        # pausing at slot 100 splits a block, and the resumed run must
+        # still end with the uninterrupted run's snapshot and result.
+        config = SimConfig(n_ports=8, warmup_slots=30, measure_slots=170, seed=12)
+        m_straight = MetricsRegistry()
+        straight = run_simulation(
+            config, scheduler, 0.9, metrics=m_straight, fast=True,
+            collect_percentiles=True,
+        )
+        ckpt = tmp_path / "run.ckpt"
+        paused = MetricsRegistry()
+        run_simulation(
+            config, scheduler, 0.9, metrics=paused, fast=True,
+            collect_percentiles=True, checkpoint_path=ckpt, stop_at_slot=100,
+        )
+        assert paused.counter("slots").value == 100
+        m_resumed = MetricsRegistry()
+        resumed = resume_simulation(ckpt, metrics=m_resumed)
+        assert resumed.row() == straight.row()
+        assert m_resumed.snapshot() == m_straight.snapshot()
+
     def test_periodic_checkpoints_resume_from_latest(self, tmp_path):
         # checkpoint_every without stop_at: kill-anytime crash
         # recovery. The file left behind is the latest boundary; a

@@ -16,6 +16,7 @@ from repro.faults import FaultInjector, FaultPlan, PortDownInterval
 from repro.faults.channel import FastRequestLossFilter, RequestLossFilter
 from repro.fastpath.lcf import FastLCFCentralRR
 from repro.fastpath.registry import fast_schedulers
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import RingTracer
 from repro.sim.config import SimConfig
 from repro.sim.crossbar import InputQueuedSwitch
@@ -38,6 +39,20 @@ class TestEngagement:
             CONFIG, FastLCFCentralRR(4), tracer=RingTracer(1 << 10)
         )
         assert not switch._fast_slot
+
+    def test_metrics_alone_keep_the_fast_loop(self):
+        switch = InputQueuedSwitch(
+            CONFIG, FastLCFCentralRR(4), metrics=MetricsRegistry()
+        )
+        assert switch._fast_slot
+        # ...but a tracer next to them still needs every event in order.
+        traced = InputQueuedSwitch(
+            CONFIG,
+            FastLCFCentralRR(4),
+            metrics=MetricsRegistry(),
+            tracer=RingTracer(1 << 10),
+        )
+        assert not traced._fast_slot
 
     def test_topology_faults_disable_the_fast_loop(self):
         plan = FaultPlan(port_down=(PortDownInterval(1, 5, 20, "input"),))
@@ -135,3 +150,25 @@ class TestFastLoopStatistics:
         assert fast.offered == reference.offered
         assert fast.latency.mean == reference.latency.mean
         assert fast.total_queued() == reference.total_queued()
+
+    def test_step_on_a_metered_fast_switch_records_every_slot(self):
+        # step() on the fast loop runs the same body as run_slots, so a
+        # switch stepped one slot at a time still records its metrics.
+        from repro.traffic.bernoulli import BernoulliUniform
+
+        fast_metrics, slow_metrics = MetricsRegistry(), MetricsRegistry()
+        fast = InputQueuedSwitch(CONFIG, FastLCFCentralRR(4), metrics=fast_metrics)
+        slow = InputQueuedSwitch(
+            CONFIG,
+            FastLCFCentralRR(4),
+            metrics=slow_metrics,
+            tracer=RingTracer(1 << 10),
+        )
+        assert fast._fast_slot and not slow._fast_slot
+        pattern = BernoulliUniform(4, 0.9, seed=3)
+        for slot in range(120):
+            arrivals = pattern.arrivals()
+            applied = fast.step(slot, arrivals)
+            assert np.array_equal(applied, slow.step(slot, arrivals)), slot
+        assert fast_metrics.counter("slots").value == 120
+        assert fast_metrics.snapshot() == slow_metrics.snapshot()
