@@ -6,9 +6,11 @@ are generated — so the rate here is directly comparable across fabric
 sizes and engine variants. Two variants are measured per size, in the
 ``BENCH_speed.json`` cell format the perf gate already understands:
 
-* ``reference`` — the serial engine on reference schedulers;
-* ``fast`` — the same engine with every stage scheduler swapped for
-  its :mod:`repro.fastpath` kernel (bit-identical results).
+* ``reference`` — the serial engine on reference schedulers (built
+  under the private ``_reference_kernels`` override);
+* ``fast`` — the same engine as every run builds it, each stage
+  scheduler on its :mod:`repro.fastpath` kernel (bit-identical
+  results).
 
 The committed baseline carries the ``fabric_clos`` family at 64 ports
 (C(8,8,8), 24 switches) and 1024 ports (C(32,32,32), 96 switches, the
@@ -24,6 +26,7 @@ an existing report in place (preserving the scheduler families).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import statistics
 import sys
@@ -33,6 +36,7 @@ from pathlib import Path
 from benchmarks.conftest import once
 from repro.fabric.sim import run_fabric
 from repro.fabric.spec import FabricSpec
+from repro.fastpath.registry import _reference_kernels
 from repro.sim.config import SimConfig
 
 #: Family name under the report's ``schedulers`` mapping.
@@ -72,9 +76,10 @@ def measure_cell(
     for fast in (False, True):
         windows = []
         for _ in range(repeats):
-            start = time.perf_counter()
-            run_fabric(spec, fast=fast)
-            windows.append(slots / (time.perf_counter() - start))
+            with contextlib.nullcontext() if fast else _reference_kernels():
+                start = time.perf_counter()
+                run_fabric(spec)
+                windows.append(slots / (time.perf_counter() - start))
         rates[fast] = statistics.median(windows)
     return {
         "reference_slots_per_sec": round(rates[False], 1),

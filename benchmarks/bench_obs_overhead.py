@@ -125,7 +125,7 @@ def _fast_run_seconds(metrics: bool) -> float:
     """Seconds for one whole n=16 ``lcf_central_rr`` fast run."""
     registry = MetricsRegistry() if metrics else None
     start = time.perf_counter()
-    run_simulation(BENCH_CONFIG, "lcf_central_rr", 0.9, metrics=registry, fast=True)
+    run_simulation(BENCH_CONFIG, "lcf_central_rr", 0.9, metrics=registry)
     return time.perf_counter() - start
 
 

@@ -101,9 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--replicates", type=int, default=1)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--fast", action="store_true",
-                        help="run on the repro.fastpath bitmask kernels "
-                        "(bit-identical results, shared cache entries)")
     # Checkpointing (single-run mode; applies to the adaptive run).
     parser.add_argument("--checkpoint", metavar="PATH", default=None,
                         help="single-run mode: checkpoint the adaptive run's "
@@ -165,7 +162,7 @@ def _single_run(args: argparse.Namespace, adapt: AdaptConfig) -> int:
     )
     blind = run_simulation(
         config, args.scheduler, args.load, traffic=args.traffic,
-        faults=plan, adapter=ObliviousAdapter(), fast=args.fast,
+        faults=plan, adapter=ObliviousAdapter(),
     )
     tracer = (
         JsonlTracer(args.trace_out) if args.trace_out else RingTracer(1 << 20)
@@ -176,7 +173,7 @@ def _single_run(args: argparse.Namespace, adapt: AdaptConfig) -> int:
         reactive = run_simulation(
             config, args.scheduler, args.load, traffic=args.traffic,
             tracer=tracer, metrics=metrics, faults=plan, adapter=adapter,
-            fast=args.fast, checkpoint_path=args.checkpoint,
+            checkpoint_path=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
         )
     if args.checkpoint and not args.quiet:
@@ -244,7 +241,7 @@ def _resume(args: argparse.Namespace) -> int:
     blind = run_simulation(
         SimConfig(**run["config"]), run["scheduler"], run["load"],
         traffic=run["traffic"], traffic_kwargs=run["traffic_kwargs"],
-        faults=run["faults"], adapter=ObliviousAdapter(), fast=run["fast"],
+        faults=run["faults"], adapter=ObliviousAdapter(),
     )
     if not args.quiet:
         for stance, result in (("oblivious", blind), ("adaptive", reactive)):
@@ -303,7 +300,6 @@ def _grid(args: argparse.Namespace, adapt: AdaptConfig) -> int:
             processes=args.workers,
             cache=args.cache_dir,
             progress=not args.quiet,
-            fast=args.fast,
         )
     except ValueError as exc:
         print(f"lcf-adapt: {exc}", file=sys.stderr)

@@ -91,20 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(inspect with pstats/snakeviz); the run report adds per-worker "
         "telemetry either way",
     )
-    parser.add_argument(
-        "--fast", action="store_true",
-        help="run on the repro.fastpath bitmask kernels (bit-identical "
-        "results, several times the slot rate; cache entries are shared "
-        "with reference runs)",
-    )
-    parser.add_argument(
-        "--columnar", action="store_true",
-        help="batch each (scheduler, load) cell's replicates on the "
-        "repro.columnar engine — one numpy slot loop advances all "
-        "replicates at once (bit-identical results; cache entries are "
-        "shared with per-point runs; uncovered configurations fall "
-        "back to serial execution automatically)",
-    )
     parser.add_argument("--relative", action="store_true",
                         help="report latency relative to outbuf (Figure 12b)")
     parser.add_argument("--plot", action="store_true", help="ASCII plot")
@@ -120,7 +106,7 @@ def _parse_traffic_args(pairs: list[str]) -> tuple[tuple[str, object], ...]:
     parsed: list[tuple[str, object]] = []
     for pair in pairs:
         if "=" not in pair:
-            raise SystemExit(f"--traffic-arg expects KEY=VALUE, got {pair!r}")
+            raise ValueError(f"--traffic-arg expects KEY=VALUE, got {pair!r}")
         key, text = pair.split("=", 1)
         value: object
         try:
@@ -135,34 +121,43 @@ def _parse_traffic_args(pairs: list[str]) -> tuple[tuple[str, object], ...]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     schedulers = tuple(args.schedulers.split(","))
     loads = args.loads or (PAPER_LOADS if args.paper else (0.3, 0.6, 0.8, 0.9, 0.95))
     if args.relative and "outbuf" not in schedulers:
         schedulers = schedulers + ("outbuf",)
 
-    spec = SweepSpec(
-        schedulers=schedulers,
-        loads=loads,
-        config=SimConfig(
-            n_ports=args.ports,
-            warmup_slots=args.warmup_slots,
-            measure_slots=args.measure_slots,
-            iterations=args.iterations,
-            seed=args.seed,
-        ),
-        traffic=args.traffic,
-        traffic_kwargs=_parse_traffic_args(args.traffic_arg),
-        replicates=args.replicates,
-    )
+    # Bad input exits 2 with one line, before any point runs.
+    known = (*available_schedulers(), "outbuf")
+    unknown = [name for name in schedulers if name not in known]
+    try:
+        if unknown:
+            raise ValueError(
+                f"unknown scheduler {unknown[0]!r}; available: {', '.join(known)}"
+            )
+        spec = SweepSpec(
+            schedulers=schedulers,
+            loads=loads,
+            config=SimConfig(
+                n_ports=args.ports,
+                warmup_slots=args.warmup_slots,
+                measure_slots=args.measure_slots,
+                iterations=args.iterations,
+                seed=args.seed,
+            ),
+            traffic=args.traffic,
+            traffic_kwargs=_parse_traffic_args(args.traffic_arg),
+            replicates=args.replicates,
+        )
+    except ValueError as exc:
+        parser.exit(2, f"lcf-sweep: {exc}\n")
     sweep = run_sweep(
         spec,
         processes=args.workers,
         progress=not args.quiet,
         cache=args.cache_dir,
         profile_dir=args.profile,
-        fast=args.fast,
-        columnar=args.columnar,
     )
 
     if args.csv:

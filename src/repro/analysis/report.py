@@ -210,7 +210,6 @@ def run_dashboard(args) -> int:
         loads,
         cache=args.cache_dir,
         probe_slots=args.probe_slots,
-        fast=args.fast,
     )
     if args.csv:
         print(f"wrote {write_dashboard_csv(rows, args.csv)}")
@@ -257,8 +256,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated load override (dashboard)")
     parser.add_argument("--probe-slots", type=int, default=400,
                         help="slots per matching-quality probe run")
-    parser.add_argument("--fast", action="store_true",
-                        help="use the fastpath kernels for dashboard runs")
     args = parser.parse_args(argv)
     if args.dashboard:
         return run_dashboard(args)

@@ -128,8 +128,6 @@ def run_sweep(
     progress: bool = False,
     cache: ResultCache | str | Path | None = None,
     profile_dir: str | Path | None = None,
-    fast: bool = False,
-    columnar: bool = False,
 ) -> SweepResult:
     """Execute every point of the sweep grid via the parallel engine.
 
@@ -140,20 +138,15 @@ def run_sweep(
     directory path or :class:`ResultCache`) makes the sweep resumable:
     completed points are stored as they finish and reused on re-runs.
     ``profile_dir`` dumps one cProfile stats file per computed point.
-    ``fast`` runs the points on the :mod:`repro.fastpath` bitmask
-    kernels — bit-identical results, so fast and reference runs share
-    cache entries. ``columnar`` hands each worker a whole replicate
-    block batched on the :mod:`repro.columnar` engine — also
-    bit-identical and cache-compatible (uncovered configurations fall
-    back to serial execution per block).
+    How each point runs (bitset kernels, replicate blocks batched on the
+    :mod:`repro.columnar` engine) is chosen by the engine and never
+    changes a result or a cache key.
     """
     run = ParallelRunner(
         workers=processes,
         cache=cache,
         progress=progress,
         profile_dir=profile_dir,
-        fast=fast,
-        columnar=columnar,
     ).run(spec)
     return SweepResult(spec, dict(run.merged), report=run.report)
 

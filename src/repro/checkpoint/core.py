@@ -7,7 +7,7 @@ uninterrupted run:
 * the **run spec** — every argument :func:`repro.sim.run_simulation`
   needs to rebuild the exact same objects (config fields, scheduler
   name, traffic name + kwargs, fault-plan spec, adapter spec, admission
-  watermarks, the ``fast`` flag);
+  watermarks);
 * the **component state** — the traffic pattern (including its PCG64
   stream position), the switch and everything hanging off it
   (scheduler pointers and tie-break chains, VOQ/PQ contents, Welford
@@ -64,7 +64,6 @@ def make_run_spec(
     traffic_kwargs: dict | None,
     collect_service: bool,
     collect_percentiles: bool,
-    fast: bool,
     plan=None,
     adapter=None,
     admission=None,
@@ -86,7 +85,6 @@ def make_run_spec(
         "traffic_kwargs": dict(traffic_kwargs or {}),
         "collect_service": bool(collect_service),
         "collect_percentiles": bool(collect_percentiles),
-        "fast": bool(fast),
         "faults": _spec_pairs(plan.to_spec()) if plan is not None else None,
         "adapt": _spec_pairs(adapter.to_spec()) if adapter is not None else None,
         "admission": (
@@ -238,7 +236,6 @@ def resume_simulation(
         metrics=metrics,
         injector=injector,
         adapter=adapter,
-        fast=run["fast"],
         admission=admission,
     )
 

@@ -4,7 +4,7 @@ A checkpoint file is one JSON document::
 
     {
       "format": "repro-checkpoint",
-      "version": 2,
+      "version": 3,
       "checksum": "<sha256 of the canonical payload JSON>",
       "payload": { ... }
     }
@@ -47,7 +47,9 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: (``tools/check_checkpoint_format.py``) makes the bump deliberate.
 #: Version 2: the switch's live delay state is an exact
 #: ``DelayHistogram`` (version 1 carried P² quantile markers).
-CHECKPOINT_VERSION = 2
+#: Version 3: run specs no longer carry a ``fast`` flag (the scheduler
+#: implementation is chosen by the build, not recorded per run).
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(Exception):

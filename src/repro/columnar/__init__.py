@@ -18,14 +18,16 @@ Layers:
   per-replicate RNG streams and exact-order Welford statistics replay.
 * :mod:`repro.columnar.run` — :func:`run_replicates`, the entry point
   that picks columnar / switch-reuse serial / plain serial per
-  configuration and always returns serial-identical results.
+  configuration and block size (:func:`~repro.columnar.run.runs_columnar`,
+  one measured crossover) and always returns serial-identical results.
 * :mod:`repro.columnar.bench` — the ``columnar_*`` benchmark families
   (slots x replicates per second vs R serial fast runs) feeding
   ``BENCH_speed.json`` and the CI gate.
 
-The sweep engine integrates through ``ParallelRunner(columnar=True)`` /
-``lcf-sweep --columnar``; see docs/PERFORMANCE.md ("Batching
-replicates") for measured scaling.
+The sweep engine hands a cell's pending replicates to
+:func:`run_replicates` as one block whenever that block batches; see
+docs/PERFORMANCE.md ("Batching replicates") for measured scaling and
+the crossover.
 """
 
 from repro.columnar.bitpack import pack_requests, unpack_requests

@@ -3,11 +3,12 @@
 The quantity defended here is *replicate-slots per second* — simulated
 slots times replicates, per wall-clock second — for a whole replicate
 block. The reference is what the block costs without the columnar
-engine: R independent fast serial runs (through the same
-:func:`~repro.columnar.run.run_replicates` entry point with
-``columnar=False``, so the serial side also gets the switch-reuse
-optimisation — the honest baseline). ``speedup`` is their ratio, the
-same host-portable signal the kernel families gate on.
+engine: R serial bitset-kernel runs on the switch-reuse path
+:func:`~repro.columnar.run.run_replicates` takes below its crossover
+(the honest baseline). The columnar side times
+:class:`~repro.columnar.engine.ColumnarEngine` directly, whatever the
+block size. ``speedup`` is their ratio, the same host-portable signal
+the kernel families gate on.
 
 Report families are named ``columnar_<scheduler>_r<R>`` (e.g.
 ``columnar_lcf_central_rr_r32``) with the standard per-width cell
@@ -27,8 +28,9 @@ from __future__ import annotations
 import statistics
 import time
 
+from repro.columnar.engine import ColumnarEngine
 from repro.columnar.kernels import columnar_schedulers
-from repro.columnar.run import run_replicates
+from repro.columnar.run import _run_serial
 from repro.fastpath.bench import REPORT_VERSION, _platform_fields
 from repro.sim.config import SimConfig
 
@@ -81,19 +83,18 @@ def measure_columnar_cell(
         measure_slots=scaled_slots(measure_slots, n),
     )
     rep_slots = config.total_slots * replicates
+    seeds = [config.seed + r for r in range(replicates)]
 
-    def rate(columnar: bool) -> float:
+    def rate(run_block) -> float:
         windows = []
         for _ in range(repeats):
             start = time.perf_counter()
-            run_replicates(
-                config, name, load, replicates, columnar=columnar, fast=True
-            )
+            run_block()
             windows.append(rep_slots / (time.perf_counter() - start))
         return statistics.median(windows)
 
-    serial = rate(columnar=False)
-    columnar = rate(columnar=True)
+    serial = rate(lambda: _run_serial(config, name, load, seeds))
+    columnar = rate(lambda: ColumnarEngine(config, name, load, seeds).run())
     return {
         "reference_slots_per_sec": round(serial, 1),
         "fast_slots_per_sec": round(columnar, 1),

@@ -5,10 +5,11 @@ seeds) and returns one :class:`~repro.sim.simulator.SimResult` per
 seed, in seed order. Three execution strategies, all bit-identical per
 replicate:
 
-1. **Columnar** (default when eligible): the
+1. **Columnar**: the
    :class:`~repro.columnar.engine.ColumnarEngine` advances all R
    replicates per slot with batched numpy kernels — the fast path for
-   covered schedulers (see
+   blocks of at least :data:`COLUMNAR_MIN_REPLICATES` replicates of a
+   covered scheduler (see
    :func:`~repro.columnar.kernels.columnar_schedulers`) on plain
    registry traffic with no instrumentation attached.
 2. **Serial with switch reuse**: one
@@ -20,30 +21,33 @@ replicate:
    for everything the other two cannot express (dedicated switch
    models, faults, adapters, admission control, tracing).
 
-Eligibility is decided here (:func:`columnar_supported`), so callers
-can pass ``columnar=True`` unconditionally — uncovered configurations
-fall back, they never fail. A :class:`ColumnarMemoryError` mid-run
-(queue growth beyond the memory ceiling) also falls back, rerunning the
-whole block serially from scratch — safe because both paths produce
-identical results.
+The strategy is decided here (:func:`runs_columnar`), never by the
+caller: uncovered configurations and small blocks run serially, they
+never fail. A :class:`ColumnarMemoryError` mid-run (queue growth beyond
+the memory ceiling) also falls back, rerunning the whole block serially
+from scratch — safe because both paths produce identical results.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
-from repro.baselines.registry import make_scheduler
 from repro.columnar.engine import (
     DEFAULT_MAX_BYTES,
     ColumnarEngine,
     ColumnarMemoryError,
 )
 from repro.columnar.kernels import has_columnar_kernel
-from repro.fastpath.registry import make_fast_scheduler
 from repro.faults.plan import FaultPlan
 from repro.sim.config import SimConfig
 from repro.sim.crossbar import InputQueuedSwitch
-from repro.sim.simulator import SimResult, _drive, _package_result, run_simulation
+from repro.sim.simulator import (
+    SimResult,
+    _drive,
+    _package_result,
+    make_crossbar_scheduler,
+    run_simulation,
+)
 from repro.traffic.base import make_traffic
 
 
@@ -85,21 +89,40 @@ def columnar_supported(
     return True, ""
 
 
+#: Smallest replicate block :func:`run_replicates` runs on the columnar
+#: engine. Below it the switch-reuse serial loop is faster: the engine's
+#: per-slot numpy dispatch costs more than R serial bitset slots. At
+#: n=16 serial and columnar break even near R=6 for every covered
+#: kernel; docs/PERFORMANCE.md has the measured table.
+COLUMNAR_MIN_REPLICATES = 8
+
+
+def runs_columnar(scheduler_name: str, replicates: int, **features) -> bool:
+    """Whether :func:`run_replicates` batches a block of ``replicates``
+    seeds on the columnar engine: the block is at or above
+    :data:`COLUMNAR_MIN_REPLICATES` and :func:`columnar_supported`
+    accepts ``scheduler_name`` with ``features`` (its keyword
+    arguments)."""
+    return (
+        replicates >= COLUMNAR_MIN_REPLICATES
+        and columnar_supported(scheduler_name, **features)[0]
+    )
+
+
 def _run_serial(
     config: SimConfig,
     scheduler_name: str,
     load: float,
     seeds: list[int],
     *,
-    traffic,
-    traffic_kwargs,
-    collect_service: bool,
-    collect_percentiles: bool,
-    faults,
-    adapter,
-    admission,
-    tracer_factory,
-    fast: bool,
+    traffic="bernoulli",
+    traffic_kwargs=None,
+    collect_service: bool = False,
+    collect_percentiles: bool = False,
+    faults=None,
+    adapter=None,
+    admission=None,
+    tracer_factory=None,
 ) -> list[SimResult]:
     reuse = (
         isinstance(traffic, str)
@@ -123,7 +146,6 @@ def _run_serial(
                 faults=faults,
                 adapter=adapter,
                 admission=admission,
-                fast=fast,
             )
             for index, seed in enumerate(seeds)
         ]
@@ -131,7 +153,6 @@ def _run_serial(
     # Build the switch once for the cell; per replicate only the
     # scheduler and traffic seeds change (satellite of the columnar
     # work: the n^2 VOQ structures dominate build time).
-    maker = make_fast_scheduler if fast else make_scheduler
     switch: InputQueuedSwitch | None = None
     results = []
     for seed in seeds:
@@ -139,7 +160,7 @@ def _run_serial(
         pattern = make_traffic(
             traffic, cfg.n_ports, load, seed=seed, **(traffic_kwargs or {})
         )
-        scheduler = maker(
+        scheduler = make_crossbar_scheduler(
             scheduler_name, cfg.n_ports, iterations=cfg.iterations, seed=seed
         )
         if switch is None:
@@ -173,8 +194,6 @@ def run_replicates(
     adapter=None,
     admission=None,
     tracer_factory: Callable[[int], object] | None = None,
-    fast: bool = True,
-    columnar: bool = True,
     max_bytes: int = DEFAULT_MAX_BYTES,
 ) -> list[SimResult]:
     """Simulate R replicates of one (scheduler, load) cell.
@@ -182,9 +201,9 @@ def run_replicates(
     Replicate ``r`` is bit-identical to
     ``run_simulation(config.with_(seed=seeds[r]), scheduler_name, load,
     ...)`` — the execution strategy (columnar, switch-reuse serial, or
-    plain serial) is an implementation detail, never part of the
-    experiment definition (sweep cache keys ignore it, exactly like
-    ``fast``).
+    plain serial; see :func:`runs_columnar`) is an implementation
+    detail, never part of the experiment definition (sweep cache keys
+    ignore it).
 
     ``seeds`` defaults to ``config.seed + r`` for ``r in
     range(replicates)`` — the sweep engine's replicate seeding. Pass
@@ -209,46 +228,39 @@ def run_replicates(
                 f"replicates={replicates} disagrees with {len(seed_list)} seeds"
             )
 
-    if columnar:
-        supported, _ = columnar_supported(
-            scheduler_name,
-            traffic=traffic,
-            faults=faults,
-            adapter=adapter,
-            admission=admission,
-            tracer_factory=tracer_factory,
-        )
-        if supported:
-            try:
-                return ColumnarEngine(
-                    config,
-                    scheduler_name,
-                    load,
-                    seed_list,
-                    traffic=traffic,
-                    traffic_kwargs=traffic_kwargs,
-                    collect_service=collect_service,
-                    collect_percentiles=collect_percentiles,
-                    max_bytes=max_bytes,
-                ).run()
-            except ColumnarMemoryError:
-                # Buffers outgrew the ceiling (at allocation or during
-                # queue growth); rerun serially from scratch
-                # (bit-identical, just slower).
-                pass
+    features = dict(
+        traffic=traffic,
+        faults=faults,
+        adapter=adapter,
+        admission=admission,
+        tracer_factory=tracer_factory,
+    )
+    if runs_columnar(scheduler_name, len(seed_list), **features):
+        try:
+            return ColumnarEngine(
+                config,
+                scheduler_name,
+                load,
+                seed_list,
+                traffic=traffic,
+                traffic_kwargs=traffic_kwargs,
+                collect_service=collect_service,
+                collect_percentiles=collect_percentiles,
+                max_bytes=max_bytes,
+            ).run()
+        except ColumnarMemoryError:
+            # Buffers outgrew the ceiling (at allocation or during
+            # queue growth); rerun serially from scratch
+            # (bit-identical, just slower).
+            pass
 
     return _run_serial(
         config,
         scheduler_name,
         load,
         seed_list,
-        traffic=traffic,
         traffic_kwargs=traffic_kwargs,
         collect_service=collect_service,
         collect_percentiles=collect_percentiles,
-        faults=faults,
-        adapter=adapter,
-        admission=admission,
-        tracer_factory=tracer_factory,
-        fast=fast,
+        **features,
     )

@@ -62,7 +62,6 @@ def make_fabric_run_spec(
     collect_percentiles: bool,
     collect_flows: bool,
     tracing: bool,
-    fast: bool,
     checkpoint_every: int | None,
 ) -> dict:
     """The JSON recipe a fabric resume rebuilds its engines from."""
@@ -72,7 +71,6 @@ def make_fabric_run_spec(
         "collect_percentiles": collect_percentiles,
         "collect_flows": collect_flows,
         "tracing": tracing,
-        "fast": fast,
         "checkpoint_every": checkpoint_every,
     }
 
@@ -133,7 +131,6 @@ def resume_fabric(
             collect_percentiles=run["collect_percentiles"],
             collect_flows=run["collect_flows"],
             tracing=run["tracing"],
-            fast=run["fast"],
         )
         for shard_id in range(shards)
     ]

@@ -112,9 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--backend", default="inline",
                         choices=("inline", "process"),
                         help="shard execution backend (shards > 1)")
-    parser.add_argument("--fast", action="store_true",
-                        help="run stage schedulers on their repro.fastpath "
-                        "kernels where available (bit-identical results)")
     parser.add_argument("--percentiles", action="store_true",
                         help="collect per-packet latency percentiles")
     # Grid mode.
@@ -284,7 +281,6 @@ def _single_run(args: argparse.Namespace, spec: FabricSpec) -> int:
             backend=args.backend,
             tracer=tracer,
             collect_percentiles=args.percentiles,
-            fast=args.fast,
         )
     if not args.quiet:
         _print_summary(result)
@@ -324,7 +320,6 @@ def _load_grid(args: argparse.Namespace) -> int:
             shards=args.shards,
             backend=args.backend,
             collect_percentiles=args.percentiles,
-            fast=args.fast,
         )
         rows.append(result.row())
         if not args.quiet:

@@ -51,16 +51,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.adapt.adapter import make_adapter
-from repro.baselines.registry import make_scheduler
 from repro.fabric.routing import make_router
 from repro.fabric.spec import FabricSpec
-from repro.fastpath.registry import make_fast_scheduler
 from repro.faults.injector import FaultInjector, hash_u64
 from repro.faults.plan import FaultPlan
 from repro.obs import events as ev
 from repro.obs.tracer import Tracer, effective_tracer
 from repro.sim.crossbar import InputQueuedSwitch
 from repro.sim.metrics import OnlineStats, latency_percentiles
+from repro.sim.simulator import make_crossbar_scheduler
 from repro.traffic.base import NO_ARRIVAL, make_traffic
 
 __all__ = ["FabricResult", "FabricShard", "run_fabric"]
@@ -238,7 +237,6 @@ class FabricShard:
         collect_percentiles: bool = False,
         collect_flows: bool = False,
         tracing: bool = False,
-        fast: bool = False,
         offline_routing=None,
     ):
         self.spec = spec
@@ -330,7 +328,7 @@ class FabricShard:
         }
         for coord in self.owned:
             self._build_switch(coord, fault_plans.get(coord),
-                               adapt_specs.get(coord), fast)
+                               adapt_specs.get(coord))
             if coord[0] == self.last_stage:
                 self._egress_stats[coord[1]] = OnlineStats()
                 if collect_percentiles:
@@ -356,7 +354,7 @@ class FabricShard:
         """Outputs of a stage switch wired to a boundary queue."""
         return self.spec.m if stage == 0 else self.spec.r
 
-    def _build_switch(self, coord, plan, adapt_spec, fast: bool) -> None:
+    def _build_switch(self, coord, plan, adapt_spec) -> None:
         spec = self.spec
         stage, index = coord
         size = spec.stage_sizes[stage]
@@ -372,23 +370,13 @@ class FabricShard:
             injector = FaultInjector(
                 plan, size, seed=self._switch_seed(_SALT_FAULT, stage, index)
             )
-        name = spec.stage_schedulers[stage]
-        seed = self._switch_seed(_SALT_SCHED, stage, index)
-        if injector is not None and injector.has_message_faults:
-            from repro.faults.channel import make_lossy_scheduler
-
-            scheduler = make_lossy_scheduler(
-                name, size, injector,
-                iterations=config.iterations, seed=seed, fast=fast,
-            )
-        elif fast:
-            scheduler = make_fast_scheduler(
-                name, size, iterations=config.iterations, seed=seed
-            )
-        else:
-            scheduler = make_scheduler(
-                name, size, iterations=config.iterations, seed=seed
-            )
+        scheduler = make_crossbar_scheduler(
+            spec.stage_schedulers[stage],
+            size,
+            iterations=config.iterations,
+            seed=self._switch_seed(_SALT_SCHED, stage, index),
+            injector=injector,
+        )
 
         adapter = make_adapter(adapt_spec) if adapt_spec else None
         if adapter is not None:
@@ -840,7 +828,6 @@ def run_fabric(
     exporter=None,
     collect_percentiles: bool = False,
     collect_flows: bool = False,
-    fast: bool = False,
     offline_routing=None,
     checkpoint_path=None,
     checkpoint_every: int | None = None,
@@ -860,8 +847,8 @@ def run_fabric(
     ``switch`` label) merged in canonical order after the run;
     ``metrics``/``exporter`` attach live per-stage gauges and periodic
     OpenMetrics snapshots (single-shard engine only — live telemetry
-    has no meaning half-merged). ``fast`` swaps every stage scheduler
-    for its :mod:`repro.fastpath` kernel when one exists.
+    has no meaning half-merged). Stage schedulers come from
+    :func:`repro.sim.simulator.make_crossbar_scheduler`.
 
     ``checkpoint_path``/``checkpoint_every``/``stop_at_slot`` write
     per-shard checkpoints at barrier slots so a killed run resumes via
@@ -917,7 +904,6 @@ def run_fabric(
         collect_percentiles=collect_percentiles,
         collect_flows=collect_flows,
         tracing=tracing,
-        fast=fast,
         offline_routing=offline_routing,
     )
 
@@ -934,7 +920,6 @@ def run_fabric(
             collect_percentiles=collect_percentiles,
             collect_flows=collect_flows,
             tracing=tracing,
-            fast=fast,
             checkpoint_every=checkpoint_every,
         )
         harvests = _drive_blocks(

@@ -12,11 +12,11 @@ allocations.
 Every fast kernel is a *drop-in twin* of its reference implementation:
 same registry name, same state machine, same decision trace — and
 bit-identical schedules, statistics and traces, enforced by the
-hypothesis equivalence suite in ``tests/fastpath/``. Select the layer
-with ``build_switch(fast=True)`` / ``run_simulation(fast=True)`` or
-the ``--fast`` flag on the ``lcf-sweep`` / ``lcf-trace`` /
-``lcf-faults`` / ``lcf-adapt`` CLIs; names without a fast kernel fall
-back to the reference implementation, so ``fast=True`` is always safe.
+hypothesis equivalence suite in ``tests/fastpath/``. Because of that
+there is nothing to select: every simulator builds its schedulers
+through :func:`repro.sim.simulator.make_crossbar_scheduler`, which
+takes the bitset kernel for every name that has one and the reference
+implementation for the rest.
 
 See ``docs/PERFORMANCE.md`` for the design, the bitmask layout, and
 the ``BENCH_speed.json`` perf-regression workflow.

@@ -1,15 +1,18 @@
 """Fastpath scheduler registry.
 
 Mirrors :mod:`repro.baselines.registry` for the names that have a
-bitset kernel; :func:`make_fast_scheduler` is the ``fast=True``
-counterpart of :func:`~repro.baselines.registry.make_scheduler` and
-falls back to the reference implementation for every other name, so
-callers can request the fast layer unconditionally.
+bitset kernel; :func:`make_fast_scheduler` is the bitset counterpart of
+:func:`~repro.baselines.registry.make_scheduler` and falls back to the
+reference implementation for every other name. The simulators build
+their schedulers through
+:func:`~repro.sim.simulator.make_crossbar_scheduler`, which takes the
+bitset kernel whenever :func:`uses_fast_kernel` says so.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 
 from repro.baselines.registry import make_scheduler
 from repro.core.base import Scheduler
@@ -41,6 +44,29 @@ def fast_schedulers() -> tuple[str, ...]:
 def has_fast_kernel(name: str) -> bool:
     """Whether ``make_fast_scheduler(name, ...)`` returns a bitset kernel."""
     return name in _FAST_FACTORIES
+
+
+_reference_only = False
+
+
+@contextmanager
+def _reference_kernels() -> Iterator[None]:
+    """Build reference schedulers instead of bitset kernels inside the
+    block — the seam the fast-vs-reference equivalence tests and speed
+    benchmarks use. Not part of the public API: the two are
+    bit-identical, so nothing else needs to choose."""
+    global _reference_only
+    previous, _reference_only = _reference_only, True
+    try:
+        yield
+    finally:
+        _reference_only = previous
+
+
+def uses_fast_kernel(name: str) -> bool:
+    """Whether the simulators build ``name`` as its bitset kernel: every
+    name that has one, outside :func:`_reference_kernels`."""
+    return not _reference_only and name in _FAST_FACTORIES
 
 
 def make_fast_scheduler(name: str, n: int, **kwargs) -> Scheduler:

@@ -644,7 +644,6 @@ def make_lossy_scheduler(
     injector: FaultInjector,
     iterations: int = IterativeScheduler.DEFAULT_ITERATIONS,
     seed: int = 0,
-    fast: bool = False,
 ) -> Scheduler:
     """Registry-compatible factory for degraded-mode schedulers.
 
@@ -653,29 +652,25 @@ def make_lossy_scheduler(
     :class:`RequestLossFilter` so the whole registry can be swept along
     a loss axis without crashing or silently ignoring the plan.
 
-    ``fast=True`` selects the bitset twin of the faithful lossy
-    protocol for the distributed family, and wraps every other
-    :mod:`repro.fastpath` kernel in :class:`FastRequestLossFilter` —
-    bit-identical results, bitmask hot path. Names without a fast
-    kernel fall back to the reference wrapper, so the flag is always
-    safe.
+    Names with a :mod:`repro.fastpath` kernel get its bitset twin (the
+    fast lossy protocol, or the kernel inside
+    :class:`FastRequestLossFilter`) — bit-identical results, bitmask hot
+    path; every other name gets the reference wrapper.
     """
-    if name == "lcf_dist":
-        if fast:
-            return FastLossyLCFDistributed(n, injector, iterations)
-        return LossyLCFDistributed(n, injector, iterations)
-    if name == "lcf_dist_rr":
-        if fast:
-            return FastLossyLCFDistributedRR(n, injector, iterations)
-        return LossyLCFDistributedRR(n, injector, iterations)
-    if fast:
-        from repro.fastpath.registry import has_fast_kernel, make_fast_scheduler
+    from repro.fastpath.registry import make_fast_scheduler, uses_fast_kernel
 
-        if has_fast_kernel(name):
-            return FastRequestLossFilter(
-                make_fast_scheduler(name, n, iterations=iterations, seed=seed),
-                injector,
-            )
+    fast = uses_fast_kernel(name)
+    if name == "lcf_dist":
+        cls = FastLossyLCFDistributed if fast else LossyLCFDistributed
+        return cls(n, injector, iterations)
+    if name == "lcf_dist_rr":
+        cls = FastLossyLCFDistributedRR if fast else LossyLCFDistributedRR
+        return cls(n, injector, iterations)
+    if fast:
+        return FastRequestLossFilter(
+            make_fast_scheduler(name, n, iterations=iterations, seed=seed),
+            injector,
+        )
     from repro.baselines.registry import make_scheduler
 
     return RequestLossFilter(

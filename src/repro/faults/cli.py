@@ -125,9 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--replicates", type=int, default=1)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--cache-dir", default=None)
-    parser.add_argument("--fast", action="store_true",
-                        help="run on the repro.fastpath bitmask kernels "
-                        "(bit-identical results, shared cache entries)")
     parser.add_argument("--metric", default="throughput",
                         choices=("throughput", "mean_latency", "delivery"),
                         help="metric for the ASCII degradation plot")
@@ -288,7 +285,6 @@ def _single_run(args: argparse.Namespace) -> int:
                 tracer=tracer,
                 metrics=metrics,
                 faults=plan,
-                fast=args.fast,
                 admission=_parse_admission(args.admission),
                 checkpoint_path=args.checkpoint,
                 checkpoint_every=args.checkpoint_every,
@@ -361,7 +357,6 @@ def _sweep(args: argparse.Namespace) -> int:
         processes=args.workers,
         cache=args.cache_dir,
         progress=not args.quiet,
-        fast=args.fast,
     )
     try:
         if args.loss_grid is not None:

@@ -274,9 +274,8 @@ def _sweep_axis(
     processes: int,
     cache: ResultCache | str | Path | None,
     progress: bool,
-    fast: bool,
 ) -> ResilienceReport:
-    runner = ParallelRunner(workers=processes, cache=cache, progress=progress, fast=fast)
+    runner = ParallelRunner(workers=processes, cache=cache, progress=progress)
     results: dict[tuple[str, float], SimResult] = {}
     report = ResilienceReport(
         axis=axis,
@@ -313,13 +312,8 @@ def run_loss_sweep(
     processes: int = 1,
     cache: ResultCache | str | Path | None = None,
     progress: bool = False,
-    fast: bool = False,
 ) -> ResilienceReport:
-    """Throughput/delay degradation versus control-message loss rate.
-
-    ``fast`` runs the cells on the :mod:`repro.fastpath` kernels —
-    bit-identical results, shared cache entries.
-    """
+    """Throughput/delay degradation versus control-message loss rate."""
     config = config if config is not None else SimConfig()
     plans = {rate: FaultPlan.message_loss(rate, delay=delay) for rate in rates}
     return _sweep_axis(
@@ -333,7 +327,6 @@ def run_loss_sweep(
         processes,
         cache,
         progress,
-        fast,
     )
 
 
@@ -348,13 +341,8 @@ def run_availability_sweep(
     processes: int = 1,
     cache: ResultCache | str | Path | None = None,
     progress: bool = False,
-    fast: bool = False,
 ) -> ResilienceReport:
-    """Throughput/delay degradation versus mean port availability.
-
-    ``fast`` runs the cells on the :mod:`repro.fastpath` kernels —
-    bit-identical results, shared cache entries.
-    """
+    """Throughput/delay degradation versus mean port availability."""
     config = config if config is not None else SimConfig()
     plans = {
         availability: FaultPlan.availability(
@@ -373,7 +361,6 @@ def run_availability_sweep(
         processes,
         cache,
         progress,
-        fast,
     )
 
 
@@ -393,7 +380,6 @@ def run_adaptive_sweep(
     processes: int = 1,
     cache: ResultCache | str | Path | None = None,
     progress: bool = False,
-    fast: bool = False,
 ) -> AdaptiveComparisonReport:
     """Reactive vs oblivious degradation curves (availability axis).
 
@@ -418,7 +404,7 @@ def run_adaptive_sweep(
         adapt_spec = adapt.to_spec()
     else:
         adapt_spec = tuple(sorted(dict(adapt).items()))
-    runner = ParallelRunner(workers=processes, cache=cache, progress=progress, fast=fast)
+    runner = ParallelRunner(workers=processes, cache=cache, progress=progress)
     report = AdaptiveComparisonReport(
         schedulers=tuple(schedulers),
         values=tuple(availabilities),

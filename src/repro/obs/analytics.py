@@ -353,7 +353,7 @@ class DashboardRow:
 
 
 def _probe_efficiency(
-    config, scheduler_name: str, load: float, slots: int, fast: bool
+    config, scheduler_name: str, load: float, slots: int
 ) -> tuple[float, float, float]:
     """(efficiency, mean matching, mean maximum) for one probed run.
 
@@ -362,15 +362,14 @@ def _probe_efficiency(
     request matrices — those cells come back NaN rather than refusing
     the whole grid.
     """
-    from repro.baselines.registry import SPECIAL_SWITCH_NAMES, make_scheduler
-    from repro.fastpath.registry import make_fast_scheduler
+    from repro.baselines.registry import SPECIAL_SWITCH_NAMES
     from repro.sim.crossbar import InputQueuedSwitch
+    from repro.sim.simulator import make_crossbar_scheduler
     from repro.traffic.base import make_traffic
 
     if scheduler_name in SPECIAL_SWITCH_NAMES:
         return math.nan, math.nan, math.nan
-    factory = make_fast_scheduler if fast else make_scheduler
-    scheduler = factory(
+    scheduler = make_crossbar_scheduler(
         scheduler_name, config.n_ports, iterations=config.iterations, seed=config.seed
     )
     if getattr(scheduler, "weight_kind", None) is not None:
@@ -389,7 +388,6 @@ def run_matching_dashboard(
     loads: tuple[float, ...],
     cache=None,
     probe_slots: int = 400,
-    fast: bool = False,
     progress=False,
 ):
     """Compute the matching-efficiency-vs-load grid.
@@ -410,14 +408,13 @@ def run_matching_dashboard(
     sweep = run_sweep(
         SweepSpec(schedulers=schedulers, loads=loads, config=config),
         cache=cache,
-        fast=fast,
         progress=progress,
     )
     rows: list[DashboardRow] = []
     for name in schedulers:
         for load in loads:
             efficiency, achieved, maximum = _probe_efficiency(
-                config, name, load, probe_slots, fast
+                config, name, load, probe_slots
             )
             point = sweep.get(name, load)
             rows.append(

@@ -20,18 +20,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.baselines.registry import (
-    SPECIAL_SWITCH_NAMES,
-    available_schedulers,
-    make_scheduler,
-)
-from repro.fastpath.registry import make_fast_scheduler
+from repro.baselines.registry import SPECIAL_SWITCH_NAMES, available_schedulers
 from repro.obs.chrome import write_chrome_trace
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.probe import MatchingQualityProbe
 from repro.obs.tracer import JsonlTracer, RingTracer, events_from_jsonl
 from repro.sim.config import SimConfig
 from repro.sim.crossbar import InputQueuedSwitch
+from repro.sim.simulator import make_crossbar_scheduler
 from repro.traffic.base import make_traffic
 
 
@@ -59,9 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-max-matching", action="store_true",
                         help="skip the per-slot Hopcroft-Karp maximum-matching "
                         "yardstick (faster for big runs)")
-    parser.add_argument("--fast", action="store_true",
-                        help="use the repro.fastpath bitmask kernel for the "
-                        "scheduler (bit-identical trace and summary)")
     parser.add_argument("--snapshot", metavar="PATH", default=None,
                         help="dump a final OpenMetrics snapshot of the run's "
                         "metrics registry here (.json suffix switches to JSON)")
@@ -139,7 +132,6 @@ def _run_checkpointed(args) -> int:
                 traffic=args.traffic,
                 tracer=tracer,
                 metrics=metrics,
-                fast=args.fast,
                 admission=_parse_admission(args.admission),
                 checkpoint_path=args.checkpoint,
                 checkpoint_every=args.checkpoint_every,
@@ -213,8 +205,7 @@ def main(argv: list[str] | None = None) -> int:
         iterations=args.iterations,
         seed=args.seed,
     )
-    factory = make_fast_scheduler if args.fast else make_scheduler
-    scheduler = factory(
+    scheduler = make_crossbar_scheduler(
         args.scheduler, args.ports, iterations=args.iterations, seed=args.seed
     )
     probe = None

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.baselines.registry import make_scheduler
-from repro.fastpath.registry import make_fast_scheduler
+from repro.core.base import IterativeScheduler, Scheduler
+from repro.fastpath.registry import make_fast_scheduler, uses_fast_kernel
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.obs.metrics import MetricsRegistry
@@ -92,6 +93,34 @@ class SimResult:
         return row
 
 
+def make_crossbar_scheduler(
+    name: str,
+    n: int,
+    *,
+    iterations: int = IterativeScheduler.DEFAULT_ITERATIONS,
+    seed: int = 0,
+    injector: FaultInjector | None = None,
+) -> Scheduler:
+    """The scheduler every crossbar simulator builds for a registry name.
+
+    An injector with message faults gets the degraded-mode scheduler of
+    :func:`repro.faults.channel.make_lossy_scheduler`; otherwise names
+    with a :mod:`repro.fastpath` kernel get that bitset kernel and every
+    other name its reference implementation. The kernels are
+    bit-identical to the references (property-tested in
+    ``tests/fastpath/``), so which one runs is never the caller's
+    choice.
+    """
+    if injector is not None and injector.has_message_faults:
+        from repro.faults.channel import make_lossy_scheduler
+
+        return make_lossy_scheduler(
+            name, n, injector, iterations=iterations, seed=seed
+        )
+    maker = make_fast_scheduler if uses_fast_kernel(name) else make_scheduler
+    return maker(name, n, iterations=iterations, seed=seed)
+
+
 def build_switch(
     config: SimConfig,
     scheduler_name: str,
@@ -102,7 +131,6 @@ def build_switch(
     metrics: MetricsRegistry | None = None,
     injector: FaultInjector | None = None,
     adapter=None,
-    fast: bool = False,
     admission=None,
 ):
     """Instantiate the switch model matching a registry scheduler name.
@@ -123,12 +151,10 @@ def build_switch(
     crossbar from the informed stance to fault-blind scheduling; like
     faults it is rejected for the dedicated switch models.
 
-    ``fast=True`` selects the :mod:`repro.fastpath` bitmask kernel for
-    the scheduler when one exists (bit-identical results, several times
-    the slot rate) and lets the crossbar take its untraced fast loop
-    (a ``metrics`` registry alone keeps it); names without a fast kernel
-    fall back to the reference implementation, so the flag is always
-    safe.
+    The scheduler comes from :func:`make_crossbar_scheduler`; a bitset
+    kernel lets the crossbar take its fast loop whenever nothing
+    attached needs the instrumented one (see
+    :class:`~repro.sim.crossbar.InputQueuedSwitch`).
     """
     if scheduler_name in ("outbuf", "fifo"):
         if injector is not None:
@@ -149,25 +175,13 @@ def build_switch(
         if scheduler_name == "outbuf":
             return OutputBufferedSwitch(config, collect_latencies=collect_latencies)
         return FIFOSwitch(config, collect_latencies=collect_latencies)
-    if injector is not None and injector.has_message_faults:
-        from repro.faults.channel import make_lossy_scheduler
-
-        scheduler = make_lossy_scheduler(
-            scheduler_name,
-            config.n_ports,
-            injector,
-            iterations=config.iterations,
-            seed=seed,
-            fast=fast,
-        )
-    elif fast:
-        scheduler = make_fast_scheduler(
-            scheduler_name, config.n_ports, iterations=config.iterations, seed=seed
-        )
-    else:
-        scheduler = make_scheduler(
-            scheduler_name, config.n_ports, iterations=config.iterations, seed=seed
-        )
+    scheduler = make_crossbar_scheduler(
+        scheduler_name,
+        config.n_ports,
+        iterations=config.iterations,
+        seed=seed,
+        injector=injector,
+    )
     return InputQueuedSwitch(
         config,
         scheduler,
@@ -342,7 +356,6 @@ def run_simulation(
     metrics: MetricsRegistry | None = None,
     faults: FaultPlan | dict | tuple | None = None,
     adapter=None,
-    fast: bool = False,
     exporter=None,
     admission=None,
     checkpoint_path=None,
@@ -374,11 +387,6 @@ def run_simulation(
     ``"adaptive"`` or ``"oblivious"``; empty/None means the informed
     default). The adapter is reset before the run so a reused instance
     cannot leak learned state across simulations.
-
-    ``fast`` selects the :mod:`repro.fastpath` layer (see
-    :func:`build_switch`). It is an execution detail, not part of the
-    experiment definition: results are bit-identical either way, which
-    is why sweep cache keys do not include it.
 
     ``exporter`` attaches a :class:`repro.obs.serve.SnapshotExporter`:
     its ``tick`` runs at driver block boundaries (every ``_SLOT_BLOCK``
@@ -460,7 +468,6 @@ def run_simulation(
         metrics=metrics,
         injector=injector,
         adapter=adapter,
-        fast=fast,
         admission=admission,
     )
 
@@ -476,7 +483,6 @@ def run_simulation(
             traffic_kwargs=traffic_kwargs,
             collect_service=collect_service,
             collect_percentiles=collect_percentiles,
-            fast=fast,
             plan=plan if injector is not None else None,
             adapter=adapter,
             admission=admission,

@@ -5,10 +5,11 @@ of a :class:`~repro.sweep.spec.SweepSpec`:
 
 1. each point is looked up in the :class:`~repro.sweep.cache.ResultCache`
    (if one is attached) — hits skip simulation entirely;
-2. misses run through :func:`repro.sim.simulator.run_simulation`,
-   serially in spec order when ``workers <= 1`` (bit-identical to the
-   historical sequential loop) or fanned out over a
-   ``multiprocessing.Pool`` otherwise;
+2. misses run through :func:`repro.sim.simulator.run_simulation` (a
+   cell's replicate block that batches, through
+   :func:`repro.columnar.run.run_replicates`), serially in spec order
+   when ``workers <= 1`` (bit-identical to the historical sequential
+   loop) or fanned out over a ``multiprocessing.Pool`` otherwise;
 3. each computed point is written back to the cache *as it completes*,
    so an interrupted sweep resumes from the completed prefix;
 4. replicate shards of each (scheduler, load) cell are merged in
@@ -41,7 +42,7 @@ from multiprocessing import Pool
 from pathlib import Path
 from typing import Callable
 
-from repro.columnar.run import run_replicates
+from repro.columnar.run import run_replicates, runs_columnar
 from repro.sim.config import SimConfig
 from repro.sim.simulator import SimResult, run_simulation
 from repro.sweep.cache import ResultCache, point_key
@@ -54,16 +55,35 @@ def _profile_path(profile_dir: str, index: int, point: SweepPoint) -> Path:
     return Path(profile_dir) / f"{index:04d}-{slug}.prof"
 
 
-def _run_point(
-    args: tuple[int, SimConfig, SweepPoint, str | None, bool, str | None, int | None]
-) -> tuple[int, SimResult, float, int]:
-    """Worker entry point (module level so it pickles for Pool)."""
-    index, config, point, profile_dir, fast, ckpt_path, ckpt_every = args
-    start = time.perf_counter()
-    faults = dict(point.fault_kwargs) or None
-    adapter = dict(point.adapt_kwargs) or None
+def _run_job(
+    args: tuple[list[int], SimConfig, list[SweepPoint], str | None, str | None, int | None]
+) -> tuple[list[int], list[SimResult], float, int]:
+    """Worker entry point (module level so it pickles for Pool).
 
-    def simulate() -> SimResult:
+    A job is one point, or all pending replicates of one cell when
+    :func:`repro.columnar.run.runs_columnar` batches that block; every
+    strategy is bit-identical per replicate to the point's own
+    ``run_simulation`` call, so blocks and points share cache entries
+    freely.
+    """
+    indices, config, cell, profile_dir, ckpt_path, ckpt_every = args
+    start = time.perf_counter()
+    first = cell[0]
+    faults = dict(first.fault_kwargs) or None
+    adapter = dict(first.adapt_kwargs) or None
+
+    def simulate() -> list[SimResult]:
+        if len(cell) > 1:
+            return run_replicates(
+                config,
+                first.scheduler,
+                first.load,
+                seeds=[point.seed for point in cell],
+                traffic=first.traffic,
+                traffic_kwargs=dict(first.traffic_kwargs),
+                faults=faults,
+                adapter=adapter,
+            )
         # A pre-empted in-flight point left a checkpoint next to its
         # cache slot: resume it instead of recomputing the completed
         # slots. Anything unresumable (truncated by the kill, written
@@ -73,62 +93,22 @@ def _run_point(
             from repro.checkpoint import CheckpointError, resume_simulation
 
             try:
-                return resume_simulation(ckpt_path)
+                return [resume_simulation(ckpt_path)]
             except CheckpointError:
                 pass
-        return run_simulation(
-            config,
-            point.scheduler,
-            point.load,
-            traffic=point.traffic,
-            traffic_kwargs=dict(point.traffic_kwargs),
-            faults=faults,
-            adapter=adapter,
-            fast=fast,
-            checkpoint_path=ckpt_path,
-            checkpoint_every=ckpt_every,
-        )
-
-    if profile_dir is not None:
-        profiler = cProfile.Profile()
-        result = profiler.runcall(simulate)
-        profiler.dump_stats(_profile_path(profile_dir, index, point))
-    else:
-        result = simulate()
-    if ckpt_path is not None:
-        # The point finished; its cache entry supersedes the checkpoint.
-        Path(ckpt_path).unlink(missing_ok=True)
-    return index, result, time.perf_counter() - start, os.getpid()
-
-
-def _run_block(
-    args: tuple[list[int], SimConfig, list[SweepPoint], str | None, bool]
-) -> tuple[list[int], list[SimResult], float, int]:
-    """Columnar block worker: all pending replicates of one cell at once.
-
-    ``run_replicates`` picks the execution strategy (columnar engine,
-    switch-reuse serial, or plain serial) per configuration; every
-    strategy is bit-identical per replicate to :func:`_run_point`'s
-    ``run_simulation`` call, so blocks and points share cache entries
-    freely.
-    """
-    indices, config, cell, profile_dir, fast = args
-    start = time.perf_counter()
-    first = cell[0]
-
-    def simulate() -> list[SimResult]:
-        return run_replicates(
-            config,
-            first.scheduler,
-            first.load,
-            seeds=[point.seed for point in cell],
-            traffic=first.traffic,
-            traffic_kwargs=dict(first.traffic_kwargs),
-            faults=dict(first.fault_kwargs) or None,
-            adapter=dict(first.adapt_kwargs) or None,
-            fast=fast,
-            columnar=True,
-        )
+        return [
+            run_simulation(
+                config.with_(seed=first.seed),
+                first.scheduler,
+                first.load,
+                traffic=first.traffic,
+                traffic_kwargs=dict(first.traffic_kwargs),
+                faults=faults,
+                adapter=adapter,
+                checkpoint_path=ckpt_path,
+                checkpoint_every=ckpt_every,
+            )
+        ]
 
     if profile_dir is not None:
         profiler = cProfile.Profile()
@@ -136,6 +116,9 @@ def _run_block(
         profiler.dump_stats(_profile_path(profile_dir, indices[0], first))
     else:
         results = simulate()
+    if ckpt_path is not None:
+        # The point finished; its cache entry supersedes the checkpoint.
+        Path(ckpt_path).unlink(missing_ok=True)
     return indices, results, time.perf_counter() - start, os.getpid()
 
 
@@ -290,11 +273,6 @@ class ParallelRunner:
     ``profile_dir``
         directory to dump one cProfile stats file per computed point
         into (created if missing); ``None`` disables profiling.
-    ``fast``
-        run every computed point on the :mod:`repro.fastpath` layer.
-        Results are bit-identical to the reference layer, which is why
-        ``fast`` is *not* part of the cache key — fast and reference
-        runs share cache entries freely.
     ``checkpoint_every``
         checkpoint every in-flight point's state to ``<cache
         root>/<point key>.ckpt`` at this slot cadence (requires a
@@ -304,17 +282,13 @@ class ParallelRunner:
         bit-identical results (the checkpoint file is keyed by the same
         content hash as the cache entry, so any spec change misses
         cleanly). The checkpoint is deleted when its point completes.
-    ``columnar``
-        hand each worker a whole replicate *block* — all pending
-        replicates of one (scheduler, load) cell — executed through
-        :func:`repro.columnar.run.run_replicates`, which batches the
-        block across a numpy replicate axis when the configuration is
-        covered and falls back to serial execution otherwise. Results
-        and cache keys are identical to point-by-point execution (like
-        ``fast``, the strategy is not part of the experiment
-        definition), so cache hits still resolve per point and a block
-        only covers the misses. Incompatible with ``checkpoint_every``
-        (checkpoints are per-point mid-run state).
+
+    Pending replicates of one (scheduler, load) cell go to a worker as
+    one :func:`repro.columnar.run.run_replicates` block when
+    :func:`repro.columnar.run.runs_columnar` says the block batches;
+    every other point is dispatched on its own, and so is every point of
+    a checkpointing sweep (checkpoints are per-point mid-run state).
+    Results and cache keys are the same either way.
     """
 
     def __init__(
@@ -323,9 +297,7 @@ class ParallelRunner:
         cache: ResultCache | str | Path | None = None,
         progress: bool | Callable[[str], None] = False,
         profile_dir: str | Path | None = None,
-        fast: bool = False,
         checkpoint_every: int | None = None,
-        columnar: bool = False,
     ):
         self.workers = workers
         if cache is not None and not isinstance(cache, ResultCache):
@@ -339,17 +311,10 @@ class ParallelRunner:
                 raise ValueError(
                     f"checkpoint_every must be >= 1, got {checkpoint_every}"
                 )
-            if columnar:
-                raise ValueError(
-                    "columnar blocks cannot checkpoint mid-point; "
-                    "drop checkpoint_every or columnar"
-                )
         self.cache = cache
         self.progress = progress
         self.profile_dir = str(profile_dir) if profile_dir is not None else None
-        self.fast = fast
         self.checkpoint_every = checkpoint_every
-        self.columnar = columnar
 
     def _emit(self, line: str) -> None:
         if callable(self.progress):
@@ -357,12 +322,54 @@ class ParallelRunner:
         elif self.progress:
             print(line)
 
+    def _jobs(
+        self,
+        spec: SweepSpec,
+        points: list[SweepPoint],
+        pending: list[int],
+        keys: list[str | None],
+    ) -> list[tuple]:
+        """Group the pending point indices into :func:`_run_job` jobs.
+
+        Spec order is scheduler-major then load then replicate, so the
+        pending replicates of a cell are always consecutive.
+        """
+        cells: list[list[int]] = []
+        for index in pending:
+            if cells and points[cells[-1][-1]].grid_key == points[index].grid_key:
+                cells[-1].append(index)
+            else:
+                cells.append([index])
+        jobs = []
+        for cell in cells:
+            first = points[cell[0]]
+            batched = self.checkpoint_every is None and runs_columnar(
+                first.scheduler,
+                len(cell),
+                traffic=first.traffic,
+                faults=dict(first.fault_kwargs) or None,
+                adapter=dict(first.adapt_kwargs) or None,
+            )
+            for group in [cell] if batched else [[index] for index in cell]:
+                ckpt_path = None
+                if self.checkpoint_every is not None:
+                    ckpt_path = str(self.cache.root / f"{keys[group[0]]}.ckpt")
+                jobs.append((
+                    group,
+                    spec.config,
+                    [points[index] for index in group],
+                    self.profile_dir,
+                    ckpt_path,
+                    self.checkpoint_every,
+                ))
+        return jobs
+
     def run(self, spec: SweepSpec) -> SweepRun:
         points = spec.points()
         total = len(points)
         outcomes: list[PointOutcome | None] = [None] * total
         keys: list[str | None] = [None] * total
-        pending: list[tuple] = []
+        pending: list[int] = []
         start = time.perf_counter()
         if self.profile_dir is not None:
             Path(self.profile_dir).mkdir(parents=True, exist_ok=True)
@@ -374,20 +381,7 @@ class ParallelRunner:
                 if hit is not None:
                     outcomes[index] = PointOutcome(point, hit, cached=True, elapsed=0.0)
                     continue
-            ckpt_path = None
-            if self.checkpoint_every is not None and keys[index] is not None:
-                ckpt_path = str(self.cache.root / f"{keys[index]}.ckpt")
-            pending.append(
-                (
-                    index,
-                    spec.point_config(point),
-                    point,
-                    self.profile_dir,
-                    self.fast,
-                    ckpt_path,
-                    self.checkpoint_every,
-                )
-            )
+            pending.append(index)
 
         hits = total - len(pending)
         if hits:
@@ -417,52 +411,23 @@ class ParallelRunner:
                 f"{elapsed:6.2f}s | {rate:5.2f} pts/s, ETA {eta:5.0f}s"
             )
 
-        if pending and self.columnar:
-            # Regroup the misses into per-cell replicate blocks. Spec
-            # order is scheduler-major then load then replicate, so the
-            # pending replicates of a cell are always consecutive.
-            blocks: list[tuple[list[int], SimConfig, list[SweepPoint], str | None, bool]] = []
-            for args in pending:
-                index, point = args[0], args[2]
-                if blocks and blocks[-1][2][-1].grid_key == point.grid_key:
-                    blocks[-1][0].append(index)
-                    blocks[-1][2].append(point)
-                else:
-                    blocks.append(
-                        ([index], spec.config, [point], self.profile_dir, self.fast)
-                    )
+        def finish_job(
+            indices: list[int], results: list[SimResult], elapsed: float, pid: int
+        ) -> None:
+            # Per-point compute time is attributed evenly across a
+            # block — its replicates ran interleaved, not in turn.
+            share = elapsed / len(indices)
+            for index, result in zip(indices, results):
+                finish(index, result, share, pid)
 
-            def finish_block(
-                indices: list[int],
-                results: list[SimResult],
-                elapsed: float,
-                pid: int,
-            ) -> None:
-                # Per-point compute time is attributed evenly across the
-                # block — the replicates ran interleaved, not in turn.
-                share = elapsed / len(indices)
-                for index, result in zip(indices, results):
-                    finish(index, result, share, pid)
-
-            if self.workers <= 1:
-                for args in blocks:
-                    finish_block(*_run_block(args))
-            else:
-                with Pool(self.workers) as pool:
-                    for indices, results, elapsed, pid in pool.imap_unordered(
-                        _run_block, blocks
-                    ):
-                        finish_block(indices, results, elapsed, pid)
-        elif pending:
-            if self.workers <= 1:
-                for args in pending:
-                    finish(*_run_point(args))
-            else:
-                with Pool(self.workers) as pool:
-                    for index, result, elapsed, pid in pool.imap_unordered(
-                        _run_point, pending
-                    ):
-                        finish(index, result, elapsed, pid)
+        jobs = self._jobs(spec, points, pending, keys)
+        if self.workers <= 1:
+            for job in jobs:
+                finish_job(*_run_job(job))
+        elif jobs:
+            with Pool(self.workers) as pool:
+                for outcome in pool.imap_unordered(_run_job, jobs):
+                    finish_job(*outcome)
 
         wall = time.perf_counter() - start
         scheduler_seconds: dict[str, float] = {}

@@ -71,3 +71,21 @@ class TestTrafficArgs:
                 "--schedulers", "lcf_central", "--traffic-arg", "broken",
                 "--loads", "0.5", "--quiet",
             ])
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--replicates", "0"],
+            ["--schedulers", "nope"],
+            ["--ports", "0"],
+            ["--traffic-arg", "foo"],
+        ],
+    )
+    def test_exits_2_with_one_stderr_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(argv + ["--loads", "0.5", "--quiet"])
+        assert caught.value.code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("lcf-sweep: ") and len(err.splitlines()) == 1

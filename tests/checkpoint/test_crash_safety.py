@@ -29,6 +29,20 @@ from repro.sim.simulator import run_simulation
 
 #: The golden checkpoint as written by format version 1.
 V1_CHECKPOINT = Path(__file__).resolve().parent.parent / "data" / "checkpoint_v1.json"
+#: The golden checkpoint as written by format version 2 (its run spec
+#: still carries the ``fast`` flag).
+V2_CHECKPOINT = V1_CHECKPOINT.with_name("checkpoint_v2.json")
+
+CHECKPOINT_CLIS = ["repro.obs.cli", "repro.faults.cli", "repro.adapt.cli"]
+
+
+def _resume_exits_2_with_one_line(module, path, version, capsys):
+    import importlib
+
+    main = importlib.import_module(module).main
+    assert main(["--resume", str(path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert f"version {version}" in err and len(err.splitlines()) == 1
 
 
 @pytest.fixture
@@ -90,6 +104,11 @@ class TestEnvelopeValidation:
             load_checkpoint(V1_CHECKPOINT)
         assert "\n" not in str(caught.value)
 
+    def test_version_2_file_rejected(self):
+        with pytest.raises(CheckpointError, match="version 2") as caught:
+            load_checkpoint(V2_CHECKPOINT)
+        assert "\n" not in str(caught.value)
+
     def test_non_object_document(self, checkpoint):
         checkpoint.write_text(json.dumps(["not", "an", "object"]))
         with pytest.raises(CheckpointError, match="JSON object"):
@@ -145,16 +164,13 @@ class TestCLIExitStatus:
         assert main(["--resume", corrupt]) == 2
         assert "checkpoint" in capsys.readouterr().err.lower()
 
-    @pytest.mark.parametrize(
-        "module", ["repro.obs.cli", "repro.faults.cli", "repro.adapt.cli"]
-    )
+    @pytest.mark.parametrize("module", CHECKPOINT_CLIS)
     def test_version_1_file_exits_2_with_one_line(self, module, capsys):
-        import importlib
+        _resume_exits_2_with_one_line(module, V1_CHECKPOINT, 1, capsys)
 
-        main = importlib.import_module(module).main
-        assert main(["--resume", str(V1_CHECKPOINT)]) == 2
-        err = capsys.readouterr().err.strip()
-        assert "version 1" in err and len(err.splitlines()) == 1
+    @pytest.mark.parametrize("module", CHECKPOINT_CLIS)
+    def test_version_2_file_exits_2_with_one_line(self, module, capsys):
+        _resume_exits_2_with_one_line(module, V2_CHECKPOINT, 2, capsys)
 
 
 class TestAtomicWrite:

@@ -51,10 +51,10 @@ class TestFabricResume:
             stage_faults=((1, 0, (("link_down", ((0, 1, 20, 60),)),)),),
             stage_adapt=((1, 0, (("policy", "adaptive"),)),),
         )
-        straight = run_fabric(spec, shards=2, fast=True)
+        straight = run_fabric(spec, shards=2)
         ckpt = tmp_path / "fab.ckpt"
         run_fabric(
-            spec, shards=2, fast=True,
+            spec, shards=2,
             checkpoint_path=ckpt, checkpoint_every=16, stop_at_slot=48,
         )
         assert _norm(resume_fabric(ckpt)) == _norm(straight)

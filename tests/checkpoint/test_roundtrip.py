@@ -12,13 +12,18 @@ The fast tier samples the space with small Hypothesis budgets; the
 
 from __future__ import annotations
 
+import contextlib
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.checkpoint import load_checkpoint, resume_simulation
-from repro.fastpath.registry import fast_schedulers, has_fast_kernel
+from repro.fastpath.registry import (
+    _reference_kernels,
+    fast_schedulers,
+    has_fast_kernel,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import RingTracer
 from repro.sim.config import SimConfig
@@ -57,19 +62,20 @@ def _assert_resume_identical(
     adapter=None,
     admission=None,
 ) -> None:
-    kwargs = dict(faults=faults, adapter=adapter, admission=admission, fast=fast)
-    straight_tracer = RingTracer(1 << 20)
-    straight = run_simulation(
-        config, scheduler, load, tracer=straight_tracer, **kwargs
-    )
-    ckpt = tmp_path / "run.ckpt"
-    part1 = RingTracer(1 << 20)
-    run_simulation(
-        config, scheduler, load, tracer=part1,
-        checkpoint_path=ckpt, stop_at_slot=stop_at, **kwargs,
-    )
-    part2 = RingTracer(1 << 20)
-    resumed = resume_simulation(ckpt, tracer=part2)
+    kwargs = dict(faults=faults, adapter=adapter, admission=admission)
+    with contextlib.nullcontext() if fast else _reference_kernels():
+        straight_tracer = RingTracer(1 << 20)
+        straight = run_simulation(
+            config, scheduler, load, tracer=straight_tracer, **kwargs
+        )
+        ckpt = tmp_path / "run.ckpt"
+        part1 = RingTracer(1 << 20)
+        run_simulation(
+            config, scheduler, load, tracer=part1,
+            checkpoint_path=ckpt, stop_at_slot=stop_at, **kwargs,
+        )
+        part2 = RingTracer(1 << 20)
+        resumed = resume_simulation(ckpt, tracer=part2)
     assert resumed.row() == straight.row()
     assert list(part1.events) + list(part2.events) == list(straight_tracer.events)
 
@@ -176,13 +182,13 @@ class TestRoundtripFastTier:
         config = SimConfig(n_ports=8, warmup_slots=30, measure_slots=170, seed=12)
         m_straight = MetricsRegistry()
         straight = run_simulation(
-            config, scheduler, 0.9, metrics=m_straight, fast=True,
+            config, scheduler, 0.9, metrics=m_straight,
             collect_percentiles=True,
         )
         ckpt = tmp_path / "run.ckpt"
         paused = MetricsRegistry()
         run_simulation(
-            config, scheduler, 0.9, metrics=paused, fast=True,
+            config, scheduler, 0.9, metrics=paused,
             collect_percentiles=True, checkpoint_path=ckpt, stop_at_slot=100,
         )
         assert paused.counter("slots").value == 100

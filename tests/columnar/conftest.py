@@ -5,6 +5,21 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
+
+import repro.columnar.run as run_mod
+
+
+@pytest.fixture
+def crossover(monkeypatch):
+    """Move the columnar crossover for one test: ``crossover(r)`` makes
+    blocks of ``r`` or more replicates batch (in this process and in
+    forked workers)."""
+
+    def set_to(replicates: int) -> None:
+        monkeypatch.setattr(run_mod, "COLUMNAR_MIN_REPLICATES", replicates)
+
+    return set_to
 
 
 def assert_results_bit_identical(expected, actual, context=""):

@@ -140,11 +140,10 @@ class TestMemoryCeiling:
                 config, "lcf_central", 1.0, [1, 2], max_bytes=1_000
             ).run()
 
-    def test_run_replicates_falls_back_and_stays_identical(self):
+    def test_run_replicates_falls_back_and_stays_identical(self, crossover):
+        crossover(2)
         config = SimConfig(n_ports=8, warmup_slots=20, measure_slots=100)
-        results = run_replicates(
-            config, "lcf_central", 1.0, 2, max_bytes=1_000, columnar=True
-        )
+        results = run_replicates(config, "lcf_central", 1.0, 2, max_bytes=1_000)
         expected = serial_results(config, "lcf_central", 1.0, [config.seed, config.seed + 1])
         for want, got in zip(expected, results):
             assert_results_bit_identical(want, got, "fallback")

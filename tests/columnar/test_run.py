@@ -52,31 +52,63 @@ class TestSupported:
         assert ok
 
 
+class TestCrossover:
+    @pytest.mark.parametrize("name", ["lcf_central", "lcf_central_rr", "islip"])
+    def test_blocks_batch_at_or_above_the_crossover(self, name):
+        crossover = run_mod.COLUMNAR_MIN_REPLICATES
+        # Figure 12's R=2 cells stay serial; R=32 blocks batch.
+        assert 2 < crossover <= 32
+        assert not run_mod.runs_columnar(name, crossover - 1)
+        assert run_mod.runs_columnar(name, crossover)
+        assert run_mod.runs_columnar(name, 32)
+
+    def test_uncovered_configurations_never_batch(self):
+        assert not run_mod.runs_columnar("pim", 64)
+        assert not run_mod.runs_columnar("islip", 64, faults={"request_loss": 0.5})
+
+
 class TestStrategyInvisibility:
-    def test_columnar_equals_plain_serial_entry_point(self):
+    def test_columnar_equals_plain_serial_entry_point(self, crossover, monkeypatch):
+        # One block of three seeds, below and then at the crossover: the
+        # engine runs only at it, and the results are the serial ones
+        # either way.
         seeds = [3, 4, 5]
-        fast = run_replicates(SHORT, "islip", 0.85, seeds=seeds, columnar=True)
-        slow = run_replicates(SHORT, "islip", 0.85, seeds=seeds, columnar=False)
-        for want, got in zip(slow, fast):
+        want = serial_results(SHORT, "islip", 0.85, seeds)
+        engines = []
+
+        class Recorder(run_mod.ColumnarEngine):
+            def __init__(self, *args, **kwargs):
+                engines.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(run_mod, "ColumnarEngine", Recorder)
+        for threshold, batched in ((4, False), (3, True)):
+            crossover(threshold)
+            engines.clear()
+            got = run_replicates(SHORT, "islip", 0.85, seeds=seeds)
+            assert bool(engines) is batched
             from tests.columnar.conftest import assert_results_bit_identical
 
-            assert_results_bit_identical(want, got, "columnar vs serial entry")
+            for w, g in zip(want, got):
+                assert_results_bit_identical(w, g, ("columnar vs serial", batched))
 
-    def test_uncovered_scheduler_falls_back(self, monkeypatch):
+    def test_uncovered_scheduler_falls_back(self, monkeypatch, crossover):
+        crossover(1)
         # pim has no kernel; the engine must never be constructed.
         def boom(*args, **kwargs):  # pragma: no cover - failure path
             raise AssertionError("ColumnarEngine used for an uncovered scheduler")
 
         monkeypatch.setattr(run_mod, "ColumnarEngine", boom)
         seeds = [1, 2]
-        got = run_replicates(SHORT, "pim", 0.7, seeds=seeds, columnar=True)
+        got = run_replicates(SHORT, "pim", 0.7, seeds=seeds)
         want = serial_results(SHORT, "pim", 0.7, seeds)
         from tests.columnar.conftest import assert_results_bit_identical
 
         for w, g in zip(want, got):
             assert_results_bit_identical(w, g, "pim fallback")
 
-    def test_instrumented_block_falls_back(self, monkeypatch):
+    def test_instrumented_block_falls_back(self, monkeypatch, crossover):
+        crossover(1)
         calls = []
 
         class Recorder:
@@ -99,7 +131,6 @@ class TestStrategyInvisibility:
             0.5,
             2,
             tracer_factory=factory,
-            columnar=True,
         )
         assert not calls
         assert set(traces) == {0, 1}
@@ -117,7 +148,6 @@ class TestSwitchReuse:
             name,
             0.9,
             seeds=seeds,
-            columnar=False,
             collect_service=True,
             collect_percentiles=True,
         )
@@ -138,7 +168,6 @@ class TestSwitchReuse:
             seeds=seeds,
             traffic="hotspot",
             traffic_kwargs={"fraction": 0.6},
-            columnar=False,
         )
         want = serial_results(
             SHORT,

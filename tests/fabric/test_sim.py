@@ -205,7 +205,10 @@ class TestResultSurface:
         assert np.all(means[served] >= 1)
 
     def test_fast_engine_is_bit_identical(self):
-        reference = run_fabric(clos_spec())
-        fast = run_fabric(clos_spec(), fast=True)
+        from repro.fastpath.registry import _reference_kernels
+
+        with _reference_kernels():
+            reference = run_fabric(clos_spec())
+        fast = run_fabric(clos_spec())
         assert reference.mean_latency == fast.mean_latency
         assert reference.stage_forwards == fast.stage_forwards

@@ -21,7 +21,11 @@ from repro.baselines.registry import (
     available_schedulers,
     make_scheduler,
 )
-from repro.fastpath.registry import fast_schedulers, make_fast_scheduler
+from repro.fastpath.registry import (
+    _reference_kernels,
+    fast_schedulers,
+    make_fast_scheduler,
+)
 from repro.faults import FaultPlan, PortDownInterval
 from repro.sim.config import SimConfig
 from repro.sim.simulator import run_simulation
@@ -126,12 +130,11 @@ class TestKernelEquivalence:
             grant_loss=grant_loss,
             accept_loss=accept_loss,
         )
-        reference = make_lossy_scheduler(
-            name, n, FaultInjector(plan, n, seed=seed), fast=False
-        )
-        fast = make_lossy_scheduler(
-            name, n, FaultInjector(plan, n, seed=seed), fast=True
-        )
+        with _reference_kernels():
+            reference = make_lossy_scheduler(
+                name, n, FaultInjector(plan, n, seed=seed)
+            )
+        fast = make_lossy_scheduler(name, n, FaultInjector(plan, n, seed=seed))
         reference.record_trace = fast.record_trace = True
         for matrix in matrices:
             assert np.array_equal(reference.schedule(matrix), fast.schedule(matrix))
@@ -245,17 +248,16 @@ def fault_plans(n=4, horizon=60):
 )
 @settings(max_examples=40, deadline=None)
 def test_full_simulation_equivalence_sweep(scheduler, plan, load, seed):
-    """fast=True is bit-identical end to end, fault plans included.
+    """The bitset kernels are bit-identical end to end, fault plans included.
 
     Covers the whole registry: covered names exercise the bitset kernels
     (and the fast slot loop when uninstrumented), uncovered names prove
     the fallback changes nothing.
     """
     config = SimConfig(n_ports=4, warmup_slots=10, measure_slots=50, seed=seed)
-    reference = run_simulation(
-        config, scheduler, load, faults=plan, collect_percentiles=True
-    )
-    fast = run_simulation(
-        config, scheduler, load, faults=plan, collect_percentiles=True, fast=True
-    )
+    with _reference_kernels():
+        reference = run_simulation(
+            config, scheduler, load, faults=plan, collect_percentiles=True
+        )
+    fast = run_simulation(config, scheduler, load, faults=plan, collect_percentiles=True)
     assert reference.row() == fast.row()

@@ -10,12 +10,14 @@ past a loss filter.
 import numpy as np
 import pytest
 
+import repro.sim.simulator as simulator
+
 from repro.adapt import AdaptiveLCF
 from repro.baselines.registry import make_scheduler
 from repro.faults import FaultInjector, FaultPlan, PortDownInterval
 from repro.faults.channel import FastRequestLossFilter, RequestLossFilter
 from repro.fastpath.lcf import FastLCFCentralRR
-from repro.fastpath.registry import fast_schedulers
+from repro.fastpath.registry import _reference_kernels, fast_schedulers
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import RingTracer
 from repro.sim.config import SimConfig
@@ -87,49 +89,83 @@ class TestEngagement:
             CONFIG,
             "lcf_central_rr",
             injector=FaultInjector(FaultPlan(request_loss=0.3), 4, seed=1),
-            fast=True,
         )
         assert isinstance(switch.scheduler, FastRequestLossFilter)
         assert switch._fast_slot
 
 
+class TestDefaults:
+    """Without the private reference override, every covered name runs
+    on its bitset kernel — no caller has to ask for it."""
+
+    @pytest.mark.parametrize("name", fast_schedulers())
+    def test_plain_build_switch_gets_the_bitset_kernel(self, name):
+        switch = build_switch(CONFIG, name)
+        assert callable(type(switch.scheduler).schedule_masks)
+        assert switch._fast_slot
+
+    @pytest.mark.parametrize("name", fast_schedulers())
+    def test_plain_run_simulation_gets_the_bitset_kernel(self, name, monkeypatch):
+        built = []
+
+        def recording_build_switch(*args, **kwargs):
+            built.append(build_switch(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(simulator, "build_switch", recording_build_switch)
+        run_simulation(CONFIG, name, 0.8)
+        assert callable(type(built[0].scheduler).schedule_masks)
+
+    @pytest.mark.parametrize("name", fast_schedulers())
+    def test_metrics_only_switch_takes_the_fast_loop(self, name):
+        assert build_switch(CONFIG, name, metrics=MetricsRegistry())._fast_slot
+
+    def test_reference_override_builds_the_reference_scheduler(self):
+        with _reference_kernels():
+            switch = build_switch(CONFIG, "lcf_central_rr")
+        assert type(switch.scheduler) is type(make_scheduler("lcf_central_rr", 4))
+
+
+def reference_run(*args, **kwargs):
+    with _reference_kernels():
+        return run_simulation(*args, **kwargs)
+
+
 class TestRunEquivalence:
     @pytest.mark.parametrize("name", fast_schedulers())
     def test_fast_run_is_bit_identical(self, name):
-        reference = run_simulation(CONFIG, name, 0.8, collect_percentiles=True)
-        fast = run_simulation(CONFIG, name, 0.8, collect_percentiles=True, fast=True)
+        reference = reference_run(CONFIG, name, 0.8, collect_percentiles=True)
+        fast = run_simulation(CONFIG, name, 0.8, collect_percentiles=True)
         assert reference.row() == fast.row()
 
     @pytest.mark.parametrize("name", ["lcf_central_rr", "islip", "pim"])
     def test_request_loss_is_applied_on_the_fast_loop(self, name):
         plan = FaultPlan(request_loss=0.3)
-        reference = run_simulation(CONFIG, name, 0.9, faults=plan)
-        fast = run_simulation(CONFIG, name, 0.9, faults=plan, fast=True)
+        reference = reference_run(CONFIG, name, 0.9, faults=plan)
+        fast = run_simulation(CONFIG, name, 0.9, faults=plan)
         assert reference.row() == fast.row()
         # The loss model must actually bite, or the equality above would
         # also pass with the filter bypassed on both sides.
-        pristine = run_simulation(CONFIG, name, 0.9, fast=True)
+        pristine = run_simulation(CONFIG, name, 0.9)
         assert fast.row() != pristine.row()
 
     def test_fast_run_with_service_matrix_matches(self):
         # collect_service keeps the fast loop on; the per-pair grant
         # counts must match the instrumented loop's.
-        reference = run_simulation(CONFIG, "lcf_central_rr", 0.8, collect_service=True)
-        fast = run_simulation(
-            CONFIG, "lcf_central_rr", 0.8, collect_service=True, fast=True
-        )
+        reference = reference_run(CONFIG, "lcf_central_rr", 0.8, collect_service=True)
+        fast = run_simulation(CONFIG, "lcf_central_rr", 0.8, collect_service=True)
         assert np.array_equal(reference.service_counts, fast.service_counts)
 
     def test_traced_fast_run_matches_reference_trace(self):
         # A tracer forces the instrumented loop, but the scheduler is
         # still the bitset kernel — its telemetry (decision traces and
         # events) must be byte-identical to the reference scheduler's.
-        def traced(fast):
+        def traced(run):
             tracer = RingTracer(1 << 16)
-            run_simulation(CONFIG, "lcf_central_rr", 0.8, tracer=tracer, fast=fast)
+            run(CONFIG, "lcf_central_rr", 0.8, tracer=tracer)
             return tracer.events
 
-        assert traced(fast=True) == traced(fast=False)
+        assert traced(run_simulation) == traced(reference_run)
 
 
 class TestFastLoopStatistics:

@@ -31,6 +31,8 @@ from repro.faults import (
 )
 from repro.matching.verify import is_valid_schedule
 from repro.baselines.registry import make_scheduler
+from repro.faults.channel import FastLossyLCFDistributed, FastLossyLCFDistributedRR
+from repro.fastpath.registry import _reference_kernels
 
 from tests.conftest import request_matrices_of
 
@@ -137,11 +139,20 @@ class TestMatrixAgentEquivalence:
 class TestFactory:
     def test_protocol_names_get_faithful_implementation(self):
         injector = _injector(0.1, n=4)
+        with _reference_kernels():
+            assert isinstance(
+                make_lossy_scheduler("lcf_dist", 4, injector), LossyLCFDistributed
+            )
+            assert isinstance(
+                make_lossy_scheduler("lcf_dist_rr", 4, injector),
+                LossyLCFDistributedRR,
+            )
+        # Outside the override the bitset twins of the same protocol.
         assert isinstance(
-            make_lossy_scheduler("lcf_dist", 4, injector), LossyLCFDistributed
+            make_lossy_scheduler("lcf_dist", 4, injector), FastLossyLCFDistributed
         )
         assert isinstance(
-            make_lossy_scheduler("lcf_dist_rr", 4, injector), LossyLCFDistributedRR
+            make_lossy_scheduler("lcf_dist_rr", 4, injector), FastLossyLCFDistributedRR
         )
 
     def test_other_names_get_request_filter(self):

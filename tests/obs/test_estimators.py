@@ -259,16 +259,19 @@ def test_live_delay_percentiles_equal_measured_percentiles(scheduler, fast):
     sample list cover the same forwards, so the ``delay_p*`` gauges must
     equal ``SimResult.percentiles`` exactly — on the instrumented loop
     (reference kernels) and on the fast loop alike."""
+    import contextlib
+
+    from repro.fastpath.registry import _reference_kernels
     from repro.obs.metrics import MetricsRegistry
     from repro.sim.config import SimConfig
     from repro.sim.simulator import run_simulation
 
     config = SimConfig(n_ports=8, warmup_slots=0, measure_slots=600, seed=11)
     metrics = MetricsRegistry()
-    result = run_simulation(
-        config, scheduler, 0.9, collect_percentiles=True, metrics=metrics,
-        fast=fast,
-    )
+    with contextlib.nullcontext() if fast else _reference_kernels():
+        result = run_simulation(
+            config, scheduler, 0.9, collect_percentiles=True, metrics=metrics
+        )
     snapshot = metrics.snapshot()
     assert {
         p: snapshot[f"delay_p{p:g}"] for p in result.percentiles

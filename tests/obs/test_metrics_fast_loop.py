@@ -24,7 +24,7 @@ def _run(config, scheduler, load, *, traced, **kwargs):
     metrics = MetricsRegistry()
     tracer = RingTracer(1 << 8) if traced else None
     result = run_simulation(
-        config, scheduler, load, metrics=metrics, tracer=tracer, fast=True,
+        config, scheduler, load, metrics=metrics, tracer=tracer,
         collect_percentiles=True, **kwargs,
     )
     return result, metrics
@@ -36,7 +36,7 @@ def _run(config, scheduler, load, *, traced, **kwargs):
 def test_fast_loop_metrics_equal_instrumented_loop(scheduler, n, load):
     # 130 slots: blocks of 30, 64 and 36 — a warmup split and a short tail.
     config = SimConfig(n_ports=n, warmup_slots=30, measure_slots=100, seed=n)
-    switch = build_switch(config, scheduler, metrics=MetricsRegistry(), fast=True)
+    switch = build_switch(config, scheduler, metrics=MetricsRegistry())
     assert switch._fast_slot
     fast, fast_metrics = _run(config, scheduler, load, traced=False)
     slow, slow_metrics = _run(config, scheduler, load, traced=True)
@@ -52,7 +52,7 @@ def test_exporter_driven_run_writes_identical_snapshots(tmp_path):
         path = tmp_path / f"traced{traced}.prom"
         exporter = SnapshotExporter(MetricsRegistry(), path, every=100)
         run_simulation(
-            config, "lcf_dist_rr", 0.9, exporter=exporter, fast=True,
+            config, "lcf_dist_rr", 0.9, exporter=exporter,
             tracer=RingTracer(1 << 8) if traced else None,
         )
         assert exporter.writes > 1

@@ -92,9 +92,12 @@ class TestSimulationIntegration:
     def test_fast_matches_reference_with_admission(self):
         # Admission disables the fastpath slot kernel; both layers must
         # still agree bit for bit.
+        from repro.fastpath.registry import _reference_kernels
+
         kwargs = dict(admission=(10, 30))
-        reference = run_simulation(OVERLOAD, "lcf_central_rr", 1.0, **kwargs)
-        fast = run_simulation(OVERLOAD, "lcf_central_rr", 1.0, fast=True, **kwargs)
+        with _reference_kernels():
+            reference = run_simulation(OVERLOAD, "lcf_central_rr", 1.0, **kwargs)
+        fast = run_simulation(OVERLOAD, "lcf_central_rr", 1.0, **kwargs)
         assert fast.row() == reference.row()
         assert fast.shed == reference.shed > 0
 
