@@ -147,7 +147,6 @@ def _single_run(args: argparse.Namespace, adapt: AdaptConfig) -> int:
     if args.availability is None and not args.port_down and not args.link_down:
         args.availability = 0.9  # something must fail, or there is nothing to react to
     args.loss = 0.0
-    args.delay = 0.0
     try:
         plan = _build_plan(args)
     except ValueError as exc:

@@ -130,6 +130,21 @@ def capture_payload(
     }
 
 
+def rebuild_fault_plan(path: str | Path, spec):
+    """The fault plan a checkpoint recorded. A plan this version cannot
+    rebuild (one naming a removed field, say) makes the file
+    unresumable: :class:`CheckpointError`."""
+    from repro.faults.plan import FaultPlan
+
+    try:
+        return FaultPlan.from_spec(spec)
+    except ValueError as exc:
+        raise CheckpointError(
+            f"checkpoint {path} holds a fault plan this version cannot "
+            f"rebuild: {exc}"
+        ) from None
+
+
 def resume_simulation(
     path,
     tracer=None,
@@ -162,7 +177,6 @@ def resume_simulation(
     the wrong kind.
     """
     from repro.faults.injector import FaultInjector
-    from repro.faults.plan import FaultPlan
     from repro.obs.metrics import MetricsRegistry
     from repro.sim.admission import make_admission
     from repro.sim.config import SimConfig
@@ -190,7 +204,7 @@ def resume_simulation(
 
     injector = None
     if run["faults"] is not None:
-        plan = FaultPlan.from_spec(run["faults"])
+        plan = rebuild_fault_plan(path, run["faults"])
         if not plan.is_null:
             injector = FaultInjector(plan, config.n_ports, seed=config.seed)
 

@@ -11,7 +11,8 @@
 * :class:`~repro.core.lcf_dist.LCFDistributed` /
   :class:`~repro.core.lcf_dist.LCFDistributedRR` — the Section 5
   iterative request/grant/accept schedulers (``lcf_dist`` /
-  ``lcf_dist_rr``).
+  ``lcf_dist_rr``), over a perfect or (with an ``injector``) lossy
+  control channel.
 * :mod:`repro.core.precalc` — the Section 4.3 precalculated-schedule
   stage for multicast and real-time traffic.
 * :mod:`repro.core.rr_variants` — the Section 3 family of round-robin
@@ -21,7 +22,6 @@
 from repro.core.base import IterativeScheduler, Scheduler
 from repro.core.lcf_central import LCFCentral, LCFCentralRR
 from repro.core.lcf_dist import LCFDistributed, LCFDistributedRR
-from repro.core.lcf_dist_agents import LCFDistributedAgents
 from repro.core.multicast import MulticastCell, MulticastQueue, MulticastScheduler
 from repro.core.precalc import PrecalcResult, PrecalcScheduler, check_precalc_integrity
 from repro.core.rr_variants import RRCoverage, LCFCentralVariant
@@ -33,7 +33,6 @@ __all__ = [
     "LCFCentralRR",
     "LCFDistributed",
     "LCFDistributedRR",
-    "LCFDistributedAgents",
     "MulticastCell",
     "MulticastQueue",
     "MulticastScheduler",

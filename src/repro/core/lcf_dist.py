@@ -25,22 +25,58 @@ rotating without global state. The ``lcf_dist_rr`` variant adds the
 Section 5 fairness overlay: one request-matrix element per scheduling
 cycle is the round-robin position and is matched before the iterations
 begin, visiting every position once per ``n^2`` cycles.
+
+Both schedulers optionally play the protocol over a lossy control
+channel: given an ``injector`` (a
+:class:`~repro.faults.injector.FaultInjector`), every request, grant
+and accept is a message whose fate is decided where the message is
+sent, keyed by ``(cycle, iteration, kind, src, dst)``:
+
+* a lost **request** never reaches its target — the target grants
+  among the requests it *did* receive;
+* a lost **grant** is treated by the initiator as no-grant;
+* a lost **accept** aborts the match — neither side commits, pointers
+  do not advance, and the initiator retries in the next iteration (on
+  the bus interconnect an accept is observed by everyone or by no one,
+  so the two sides can never disagree about a match);
+* the ``nrq`` a request carries counts the requests the initiator
+  *sent*, which may exceed what was delivered — stale counts skew
+  priorities, never correctness.
+
+Every schedule is still a valid matching over the offered requests, and
+total loss just yields an empty schedule. Cycles are numbered by a
+counter that advances once per ``schedule()`` call and restarts with
+``reset()`` — aligned with the simulation slot when the switch steps
+from slot 0, which is what :func:`repro.sim.simulator.run_simulation`
+does. Without an injector the channel is perfect and no message is
+looked at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.base import IterativeScheduler, rotating_argmin
 from repro.types import NO_GRANT, RequestMatrix, Schedule, empty_schedule
 
+if TYPE_CHECKING:
+    from repro.faults.injector import FaultInjector
+
+#: Control-message kinds; the fault injector's loss hash keys on them.
+REQUEST, GRANT, ACCEPT = 1, 2, 3
+
 
 @dataclass
 class IterationTrace:
     """Record of one request/grant/accept iteration (for the Figure 9
-    worked example and the example scripts)."""
+    worked example and the example scripts).
+
+    ``requests`` and ``ngt`` describe the requests targets *received*;
+    ``nrq`` the counts initiators *sent* with them. The two differ only
+    under request loss."""
 
     requests: np.ndarray
     nrq: np.ndarray
@@ -51,22 +87,35 @@ class IterationTrace:
 
 class LCFDistributed(IterativeScheduler):
     """Distributed LCF (``lcf_dist`` in Figure 12). Default 4 iterations,
-    matching the Section 6.3 simulation setup."""
+    matching the Section 6.3 simulation setup; ``injector`` plays the
+    protocol over a lossy control channel (see the module docstring)."""
 
     name = "lcf_dist"
 
-    def __init__(self, n: int, iterations: int = IterativeScheduler.DEFAULT_ITERATIONS):
+    def __init__(
+        self,
+        n: int,
+        iterations: int = IterativeScheduler.DEFAULT_ITERATIONS,
+        injector: FaultInjector | None = None,
+    ):
         super().__init__(n, iterations)
         self._grant_ptr = np.zeros(n, dtype=np.int64)  # per output
         self._accept_ptr = np.zeros(n, dtype=np.int64)  # per input
         #: When True, :attr:`last_trace` records every iteration.
         self.record_trace = False
         self.last_trace: list[IterationTrace] = []
+        #: Message-loss channel; ``None`` is a perfect channel.
+        self.injector = injector
+        # Loss-hash coordinates of the message being decided.
+        self._cycle = -1
+        self._iteration = 0
 
     def reset(self) -> None:
         self._grant_ptr[:] = 0
         self._accept_ptr[:] = 0
         self.last_trace = []
+        self._cycle = -1
+        self._iteration = 0
 
     @property
     def pointers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -86,52 +135,82 @@ class LCFDistributed(IterativeScheduler):
         out_matched = np.zeros(self.n, dtype=bool)
         if self.record_trace:
             self.last_trace = []
+        if self.injector is not None:
+            self._cycle += 1
+            self._iteration = 0
         self._pre_iterations(requests, schedule, out_matched)
         for _ in range(self.iterations):
             if not self._iterate(requests, schedule, out_matched):
-                break  # converged: no new matches are possible
+                break  # converged: no request is left to send
         return schedule
 
     def _iterate(
         self, requests: RequestMatrix, schedule: Schedule, out_matched: np.ndarray
     ) -> bool:
+        """One request/grant/accept round; False once no request is
+        live. On a perfect channel a live request always yields a match,
+        so that is also "no match is possible"; a lossy channel keeps
+        iterating while requests are sent, since a later round may still
+        get through."""
         n = self.n
+        injector = self.injector
         in_unmatched = schedule == NO_GRANT
 
-        # Request step: unmatched initiators -> unmatched targets.
+        # Request step: unmatched initiators -> unmatched targets. The
+        # sender counts what it sends (nrq); delivery decides what each
+        # target counts (ngt) and grants among.
         live = requests & in_unmatched[:, np.newaxis] & ~out_matched[np.newaxis, :]
-        nrq = live.sum(axis=1)  # choices of each initiator, sent with requests
-        ngt = live.sum(axis=0)  # requests received by each target, sent with grants
+        nrq = live.sum(axis=1)
+        delivered = live
+        if injector is not None:
+            slot, iteration = self._cycle, self._iteration
+            self._iteration += 1
+            if not nrq.any():
+                return False  # converged; no lossy trace
+            if injector.plan.request_loss > 0.0:
+                delivered = live.copy()
+                for i, j in zip(*np.nonzero(live)):
+                    if not injector.message_survives(
+                        slot, iteration, REQUEST, int(i), int(j)
+                    ):
+                        delivered[i, j] = False
+        ngt = delivered.sum(axis=0)
 
         # Grant step: each target grants its least-choice requester.
         grants = np.zeros((n, n), dtype=bool)
         for j in np.flatnonzero(ngt):
-            winner = rotating_argmin(nrq, live[:, j], int(self._grant_ptr[j]))
-            grants[winner, j] = True
+            winner = rotating_argmin(nrq, delivered[:, j], int(self._grant_ptr[j]))
+            if injector is None or injector.message_survives(
+                slot, iteration, GRANT, int(j), winner
+            ):
+                grants[winner, j] = True
 
         # Accept step: each initiator accepts the grant from the target
-        # with the fewest received requests.
+        # with the fewest received requests. A lost accept commits
+        # nowhere, so the pointers stay put.
         trace = (
-            IterationTrace(live.copy(), nrq.copy(), grants.copy(), ngt.copy())
+            IterationTrace(delivered.copy(), nrq.copy(), grants.copy(), ngt.copy())
             if self.record_trace
             else None
         )
-        made_match = False
         for i in range(n):
             offered = grants[i]
             if not offered.any():
                 continue
             j = rotating_argmin(ngt, offered, int(self._accept_ptr[i]))
+            if injector is not None and not injector.message_survives(
+                slot, iteration, ACCEPT, i, j
+            ):
+                continue
             schedule[i] = j
             out_matched[j] = True
-            made_match = True
             self._grant_ptr[j] = (i + 1) % n
             self._accept_ptr[i] = (j + 1) % n
             if trace is not None:
                 trace.accepts.append((i, j))
         if trace is not None:
             self.last_trace.append(trace)
-        return made_match
+        return bool(nrq.any())
 
 
 class LCFDistributedRR(LCFDistributed):
@@ -147,8 +226,13 @@ class LCFDistributedRR(LCFDistributed):
 
     name = "lcf_dist_rr"
 
-    def __init__(self, n: int, iterations: int = IterativeScheduler.DEFAULT_ITERATIONS):
-        super().__init__(n, iterations)
+    def __init__(
+        self,
+        n: int,
+        iterations: int = IterativeScheduler.DEFAULT_ITERATIONS,
+        injector: FaultInjector | None = None,
+    ):
+        super().__init__(n, iterations, injector)
         self._rr_i = 0
         self._rr_j = 0
 

@@ -29,6 +29,7 @@ from repro.checkpoint.format import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.checkpoint.core import rebuild_fault_plan
 from repro.checkpoint.state import decode_value, encode_value
 from repro.fabric.spec import FabricSpec
 from repro.sim.config import SimConfig
@@ -123,6 +124,8 @@ def resume_fabric(
     run = payload["run"]
     spec = _spec_from_wire(run["spec"])
     shards = run["shards"]
+    for _, _, plan in spec.stage_faults:
+        rebuild_fault_plan(path, plan)
     engines = [
         FabricShard(
             spec,

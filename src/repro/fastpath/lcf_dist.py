@@ -22,13 +22,27 @@ evolution — is enforced by ``tests/fastpath/``.
 Both kernels carry a first-class multi-word path (``schedule_words``)
 for ``n > 64`` switches: masks become word tuples and every scan walks
 machine-sized words (see :mod:`repro.fastpath.bitops`).
+
+Given an ``injector`` the kernels play the reference's lossy control
+channel (see :mod:`repro.core.lcf_dist`) with the same per-message
+hash, so lossy runs stay bit-identical too; wider than 64 ports they
+join the word tuples into Python ints and run the single-word kernel.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.core.lcf_dist import IterationTrace, LCFDistributed, LCFDistributedRR
+from repro.core.lcf_dist import (
+    ACCEPT,
+    GRANT,
+    REQUEST,
+    IterationTrace,
+    LCFDistributed,
+    LCFDistributedRR,
+)
 from repro.fastpath.bitops import (
     derive_cols,
     derive_cols_words,
@@ -41,6 +55,9 @@ from repro.fastpath.bitops import (
 from repro.fastpath.kernel import BitmaskKernelMixin
 from repro.types import NO_GRANT
 
+if TYPE_CHECKING:
+    from repro.faults.injector import FaultInjector
+
 
 class FastLCFDistributed(BitmaskKernelMixin, LCFDistributed):
     """Bitset twin of :class:`repro.core.lcf_dist.LCFDistributed`."""
@@ -48,9 +65,12 @@ class FastLCFDistributed(BitmaskKernelMixin, LCFDistributed):
     name = "lcf_dist"
 
     def __init__(
-        self, n: int, iterations: int = LCFDistributed.DEFAULT_ITERATIONS
+        self,
+        n: int,
+        iterations: int = LCFDistributed.DEFAULT_ITERATIONS,
+        injector: FaultInjector | None = None,
     ):
-        super().__init__(n, iterations)
+        super().__init__(n, iterations, injector)
         # Pointer state in plain lists (int indexing on the hot path);
         # the reference-shaped numpy views come from ``pointers``.
         self._grant_ptr = [0] * n
@@ -60,6 +80,8 @@ class FastLCFDistributed(BitmaskKernelMixin, LCFDistributed):
         self._grant_ptr = [0] * self.n
         self._accept_ptr = [0] * self.n
         self.last_trace = []
+        self._cycle = -1
+        self._iteration = 0
 
     @property
     def pointers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -84,13 +106,16 @@ class FastLCFDistributed(BitmaskKernelMixin, LCFDistributed):
         schedule = [NO_GRANT] * n
         if self.record_trace:
             self.last_trace = []
+        if self.injector is not None:
+            self._cycle += 1
+            self._iteration = 0
         in_free, out_free = self._pre_masks(rows, schedule, full, full)
         for _ in range(self.iterations):
-            made, in_free, out_free = self._iterate_masks(
+            live, in_free, out_free = self._iterate_masks(
                 rows, cols, schedule, in_free, out_free, full
             )
-            if not made:
-                break  # converged: no new matches are possible
+            if not live:
+                break  # converged: no request is left to send
         self._cycle_done()
         return schedule
 
@@ -113,6 +138,7 @@ class FastLCFDistributed(BitmaskKernelMixin, LCFDistributed):
         full: int,
     ) -> tuple[bool, int, int]:
         n = self.n
+        injector = self.injector
 
         # Request step: live row = requests to still-unmatched targets;
         # nrq is its popcount (matched initiators keep nrq 0, exactly
@@ -133,6 +159,16 @@ class FastLCFDistributed(BitmaskKernelMixin, LCFDistributed):
             nrq[i] = count
             if count:
                 buckets[count] = buckets.get(count, 0) | low
+        if injector is not None:
+            slot, iteration = self._cycle, self._iteration
+            self._iteration += 1
+            if not buckets:
+                return False, in_free, out_free  # converged; no lossy trace
+            if injector.plan.request_loss > 0.0:
+                # nrq stays sender-side; targets see what was delivered.
+                cols = derive_cols(
+                    self._deliver(rows, in_free, out_free, slot, iteration), n
+                )
         values = sorted(buckets)
 
         # Grant step: each live target grants its least-choice requester
@@ -161,18 +197,21 @@ class FastLCFDistributed(BitmaskKernelMixin, LCFDistributed):
                     if winner >= n:
                         winner -= n
                     break
-            offers[winner] |= out_bit
-            granted_inputs |= 1 << winner
-            if trace_grants is not None:
-                trace_grants.append((winner, j))
+            if injector is None or injector.message_survives(
+                slot, iteration, GRANT, j, winner
+            ):
+                offers[winner] |= out_bit
+                granted_inputs |= 1 << winner
+                if trace_grants is not None:
+                    trace_grants.append((winner, j))
 
-        trace = self._make_trace(rows, in_free, out_free, nrq, ngt, trace_grants) \
+        trace = self._make_trace(cols, in_free, out_free, nrq, ngt, trace_grants) \
             if record else None
 
         # Accept step: each granted initiator takes the grant from the
-        # target with the fewest received requests.
+        # target with the fewest received requests. A lost accept
+        # commits nowhere, so the pointers stay put.
         accept_ptr = self._accept_ptr
-        made = False
         remaining = granted_inputs
         while remaining:
             in_bit = remaining & -remaining
@@ -195,30 +234,53 @@ class FastLCFDistributed(BitmaskKernelMixin, LCFDistributed):
                     if count == 1:
                         break  # a granting target's ngt floor
                 rotated ^= low
+            if injector is not None and not injector.message_survives(
+                slot, iteration, ACCEPT, i, j
+            ):
+                continue
             schedule[i] = j
             in_free &= ~in_bit
             out_free &= ~(1 << j)
-            made = True
             grant_ptr[j] = i + 1 if i + 1 < n else 0
             accept_ptr[i] = j + 1 if j + 1 < n else 0
             if trace is not None:
                 trace.accepts.append((i, j))
         if trace is not None:
             self.last_trace.append(trace)
-        return made, in_free, out_free
+        return bool(buckets), in_free, out_free
 
-    def _make_trace(self, rows, in_free, out_free, nrq, ngt, grant_pairs):
+    def _deliver(self, rows, in_free, out_free, slot, iteration):
+        """The live request rows thinned by request loss."""
+        survives = self.injector.message_survives
+        delivered = [0] * self.n
+        remaining = in_free
+        while remaining:
+            low = remaining & -remaining
+            remaining ^= low
+            i = low.bit_length() - 1
+            mask = scan = rows[i] & out_free
+            while scan:
+                bit = scan & -scan
+                scan ^= bit
+                if not survives(slot, iteration, REQUEST, i, bit.bit_length() - 1):
+                    mask ^= bit
+            delivered[i] = mask
+        return delivered
+
+    def _make_trace(self, cols, in_free, out_free, nrq, ngt, grant_pairs):
         """Materialise the reference-shaped :class:`IterationTrace`
-        (numpy matrices) from the mask state — trace mode only."""
+        (numpy matrices) from the mask state — trace mode only. The
+        request matrix is what the free targets received: ``cols`` are
+        the delivered columns."""
         n = self.n
-        live_rows = [
-            rows[i] & out_free if in_free >> i & 1 else 0 for i in range(n)
+        received = [
+            cols[j] & in_free if out_free >> j & 1 else 0 for j in range(n)
         ]
         grants = np.zeros((n, n), dtype=bool)
         for i, j in grant_pairs:
             grants[i, j] = True
         return IterationTrace(
-            unpack_rows(live_rows, n),
+            unpack_rows(received, n).T,
             np.array(nrq, dtype=np.int64),
             grants,
             np.array(ngt, dtype=np.int64),
@@ -230,7 +292,10 @@ class FastLCFDistributed(BitmaskKernelMixin, LCFDistributed):
         self, rows: list[list[int]], cols: list[list[int]] | None = None
     ) -> list[int]:
         """Multi-word twin of :meth:`schedule_masks` (word tuples per
-        row/column; neither outer list nor any word tuple is mutated)."""
+        row/column; neither outer list nor any word tuple is mutated).
+        A lossy channel takes the joined single-word kernel."""
+        if self.injector is not None:
+            return super().schedule_words(rows, cols)
         n = self.n
         if cols is None:
             cols = derive_cols_words(rows, n)

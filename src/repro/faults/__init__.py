@@ -4,12 +4,12 @@ The paper assumes a perfect control plane; this subsystem quantifies
 what happens without one. It has four layers:
 
 * :mod:`repro.faults.plan` — declarative :class:`FaultPlan` schedules
-  (port outages, link outages, message loss/delay, CRC bursts);
+  (port outages, link outages, message loss, CRC bursts);
 * :mod:`repro.faults.injector` — the pure, seeded
   :class:`FaultInjector` that turns a plan into per-slot decisions;
-* :mod:`repro.faults.channel` — lossy-channel wrappers for the
-  distributed LCF protocol plus a generic request-loss filter for
-  every other registry scheduler;
+* :mod:`repro.faults.channel` — the degraded-mode scheduler factory:
+  the distributed LCF protocol with the injector attached, and a
+  generic request-loss filter for every other registry scheduler;
 * :mod:`repro.faults.harness` — degradation-curve sweeps along
   message-loss and port-availability axes via the parallel sweep
   engine (CLI: ``lcf-faults``).
@@ -17,9 +17,6 @@ what happens without one. It has four layers:
 
 from repro.faults.channel import (
     LOSSY_PROTOCOL_NAMES,
-    LossyLCFDistributed,
-    LossyLCFDistributedAgents,
-    LossyLCFDistributedRR,
     RequestLossFilter,
     make_lossy_scheduler,
 )
@@ -39,9 +36,6 @@ __all__ = [
     "PortDutyCycle",
     "LinkOutage",
     "CrcBurst",
-    "LossyLCFDistributed",
-    "LossyLCFDistributedRR",
-    "LossyLCFDistributedAgents",
     "RequestLossFilter",
     "make_lossy_scheduler",
     "LOSSY_PROTOCOL_NAMES",

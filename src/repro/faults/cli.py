@@ -102,9 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     # Fault plan (single-run mode).
     parser.add_argument("--loss", type=float, default=0.0,
                         help="uniform request/grant/accept loss probability")
-    parser.add_argument("--delay", type=float, default=0.0,
-                        help="probability a request/grant arrives one "
-                        "iteration late")
     parser.add_argument("--port-down", action="append", default=[],
                         type=_parse_port_down, metavar="P:START:END[:SIDE]",
                         help="port outage interval (repeatable)")
@@ -190,7 +187,6 @@ def _build_plan(args: argparse.Namespace) -> FaultPlan:
         request_loss=args.loss,
         grant_loss=args.loss,
         accept_loss=args.loss,
-        delay=args.delay,
     )
     if args.availability is not None:
         duty = FaultPlan.availability(args.ports, args.availability)
@@ -201,7 +197,6 @@ def _build_plan(args: argparse.Namespace) -> FaultPlan:
             request_loss=plan.request_loss,
             grant_loss=plan.grant_loss,
             accept_loss=plan.accept_loss,
-            delay=plan.delay,
         )
     return plan
 
@@ -361,7 +356,7 @@ def _sweep(args: argparse.Namespace) -> int:
     try:
         if args.loss_grid is not None:
             report = run_loss_sweep(
-                schedulers, rates=args.loss_grid, delay=args.delay, **common,
+                schedulers, rates=args.loss_grid, **common,
             )
         else:
             report = run_availability_sweep(

@@ -306,7 +306,6 @@ def run_loss_sweep(
     rates: tuple[float, ...] = DEFAULT_LOSS_GRID,
     load: float = 0.8,
     config: SimConfig | None = None,
-    delay: float = 0.0,
     traffic: str = "bernoulli",
     replicates: int = 1,
     processes: int = 1,
@@ -315,7 +314,7 @@ def run_loss_sweep(
 ) -> ResilienceReport:
     """Throughput/delay degradation versus control-message loss rate."""
     config = config if config is not None else SimConfig()
-    plans = {rate: FaultPlan.message_loss(rate, delay=delay) for rate in rates}
+    plans = {rate: FaultPlan.message_loss(rate) for rate in rates}
     return _sweep_axis(
         "message_loss",
         plans,

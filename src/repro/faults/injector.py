@@ -7,9 +7,9 @@ seed (a splitmix64-style mix). There is **no mutable RNG stream**:
 
 * the same query always returns the same answer, regardless of call
   order or how many other queries were made (replay-safe);
-* two components asking about the *same logical message* (the matrix
-  scheduler and the agent scheduler, say) get the *same* fate, which is
-  what makes their lossy runs bit-identical;
+* two components asking about the *same logical message* (the
+  reference scheduler and its bitset kernel, say) get the *same* fate,
+  which is what makes their lossy runs bit-identical;
 * a simulation under a :class:`~repro.faults.plan.FaultPlan` stays a
   pure function of ``(config, scheduler, load, plan, seed)``, so the
   sweep cache and trace replay remain valid.
@@ -22,18 +22,17 @@ from __future__ import annotations
 
 import numpy as np
 
+# The control-message kinds belong to the protocol; they are part of
+# every message's hash key.
+from repro.core.lcf_dist import ACCEPT, GRANT, REQUEST
 from repro.faults.plan import FaultPlan
 
 __all__ = ["FaultInjector", "REQUEST", "GRANT", "ACCEPT"]
 
-#: Control-message kinds, as hash-domain constants.
-REQUEST, GRANT, ACCEPT = 1, 2, 3
-
 _MASK64 = (1 << 64) - 1
-#: Domain-separation salts so e.g. the loss draw and the delay draw of
-#: one message are independent.
+#: Domain-separation salts so e.g. a message's loss draw and a packet's
+#: corruption draw are independent.
 _SALT_LOSS = 0xA1
-_SALT_DELAY = 0xA2
 _SALT_CORRUPT = 0xA3
 
 
@@ -164,18 +163,6 @@ class FaultInjector:
         if rate <= 0.0:
             return True
         return hash01(self.seed, _SALT_LOSS, slot, iteration, kind, src, dst) >= rate
-
-    def message_delayed(
-        self, slot: int, iteration: int, kind: int, src: int, dst: int
-    ) -> bool:
-        """Whether a surviving request/grant arrives one iteration late
-        (accepts are bus broadcasts — never delayed, see FaultPlan)."""
-        if self.plan.delay <= 0.0 or kind == ACCEPT:
-            return False
-        return (
-            hash01(self.seed, _SALT_DELAY, slot, iteration, kind, src, dst)
-            < self.plan.delay
-        )
 
     # -- Clint CRC corruption ------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 A :class:`FaultPlan` is a frozen, declarative description of every
 failure a run should experience — port outages, per-link request-mask
-outages, control-message loss/delay probabilities, and CRC corruption
+outages, control-message loss probabilities, and CRC corruption
 bursts on the Clint channels. It contains **no randomness**: the plan
 says "grant messages are lost with probability 0.1"; the
 :class:`~repro.faults.injector.FaultInjector` turns that into concrete,
@@ -165,10 +165,9 @@ class FaultPlan:
     """Declarative fault schedule for one run (empty = perfect hardware).
 
     Message-loss probabilities apply to the distributed schedulers'
-    request/grant/accept control plane per *individual message*;
-    ``delay`` is the probability a request or grant is delivered one
-    iteration late instead of on time (agents channel; accepts are bus
-    broadcasts and are lost or delivered, never delayed).
+    request/grant/accept control plane per *individual message* (every
+    other scheduler sees request loss only, as a thinned request
+    matrix — see :mod:`repro.faults.channel`).
     """
 
     port_down: tuple[PortDownInterval, ...] = ()
@@ -180,8 +179,6 @@ class FaultPlan:
     grant_loss: float = 0.0
     #: Per-message loss probability of accept messages.
     accept_loss: float = 0.0
-    #: Probability a request/grant arrives one iteration late.
-    delay: float = 0.0
     crc_bursts: tuple[CrcBurst, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
@@ -218,7 +215,7 @@ class FaultPlan:
                 for b in self.crc_bursts
             ),
         )
-        for name in ("request_loss", "grant_loss", "accept_loss", "delay"):
+        for name in ("request_loss", "grant_loss", "accept_loss"):
             _check_probability(name, getattr(self, name))
 
     # -- classification ------------------------------------------------------
@@ -237,9 +234,7 @@ class FaultPlan:
     @property
     def has_message_faults(self) -> bool:
         """True iff any control-message probability is non-zero."""
-        return bool(
-            self.request_loss or self.grant_loss or self.accept_loss or self.delay
-        )
+        return bool(self.request_loss or self.grant_loss or self.accept_loss)
 
     @property
     def has_topology_faults(self) -> bool:
@@ -253,11 +248,9 @@ class FaultPlan:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def message_loss(cls, rate: float, delay: float = 0.0) -> "FaultPlan":
+    def message_loss(cls, rate: float) -> "FaultPlan":
         """Uniform control-plane loss: every message kind at ``rate``."""
-        return cls(
-            request_loss=rate, grant_loss=rate, accept_loss=rate, delay=delay
-        )
+        return cls(request_loss=rate, grant_loss=rate, accept_loss=rate)
 
     @classmethod
     def availability(
@@ -328,7 +321,7 @@ class FaultPlan:
                     tuple((b.host, b.start, b.end, b.channel) for b in self.crc_bursts),
                 )
             )
-        for name in ("request_loss", "grant_loss", "accept_loss", "delay"):
+        for name in ("request_loss", "grant_loss", "accept_loss"):
             value = getattr(self, name)
             if value:
                 spec.append((name, value))
@@ -359,7 +352,6 @@ class FaultPlan:
             parts.append(
                 "msg loss req/gnt/acc="
                 f"{self.request_loss:g}/{self.grant_loss:g}/{self.accept_loss:g}"
-                + (f" delay={self.delay:g}" if self.delay else "")
             )
         if self.crc_bursts:
             parts.append(f"{len(self.crc_bursts)} CRC burst(s)")

@@ -134,8 +134,8 @@ class InputQueuedSwitch:
         self._pending_rr: tuple[int, int] | None = None
 
         # A plan with no topology faults resolves to no injector here —
-        # the switch only consumes port/link outages (message faults live
-        # in the repro.faults.channel scheduler wrappers), so a null or
+        # the switch only consumes port/link outages (message faults are
+        # the scheduler's, see repro.faults.channel), so a null or
         # message-only plan is bit-identical to running uninstrumented.
         if injector is not None and not injector.plan.has_topology_faults:
             injector = None

@@ -14,16 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Re-exported so simulation code has one metrics namespace: the
-# per-run statistics below plus the live instrument registry the
-# observability layer records scheduler decisions into.
-from repro.obs.metrics import (  # noqa: F401
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-
 
 class OnlineStats:
     """Streaming mean/variance/min/max (Welford's algorithm).

@@ -1,0 +1,69 @@
+"""Version-3 checkpoint files written by an earlier release.
+
+``checkpoint_v3_lossy.json`` pauses a lossy ``lcf_dist_rr`` run at slot
+60 (n=4, seed 5, load 0.9, 20 + 100 slots, every message kind lost with
+probability 0.2); resuming it must give the uninterrupted run's result.
+``checkpoint_v3_delay.json`` pauses the same run under a plan that also
+asked for one-iteration message delay, which is no longer modelled:
+resuming it is refused with :class:`CheckpointError`, and the three
+checkpoint-aware CLIs exit 2 with one line.
+"""
+
+from __future__ import annotations
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+from repro.checkpoint import CheckpointError, load_checkpoint, resume_simulation
+from repro.checkpoint.format import save_checkpoint
+from repro.fabric import FabricSpec, resume_fabric, run_fabric
+from repro.faults import FaultPlan
+from repro.sim.config import SimConfig
+from repro.sim.simulator import run_simulation
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+LOSSY = DATA / "checkpoint_v3_lossy.json"
+DELAY = DATA / "checkpoint_v3_delay.json"
+
+CHECKPOINT_CLIS = ["repro.obs.cli", "repro.faults.cli", "repro.adapt.cli"]
+
+
+def test_lossy_file_resumes_to_the_uninterrupted_result(tmp_path):
+    config = SimConfig(n_ports=4, warmup_slots=20, measure_slots=100, seed=5)
+    straight = run_simulation(
+        config, "lcf_dist_rr", 0.9, faults=FaultPlan.message_loss(0.2)
+    )
+    resumed = resume_simulation(LOSSY, checkpoint_path=tmp_path / "resumed.ckpt")
+    assert resumed.row() == straight.row()
+
+
+def test_delay_file_is_rejected(tmp_path):
+    with pytest.raises(CheckpointError, match="delay"):
+        resume_simulation(DELAY, checkpoint_path=tmp_path / "resumed.ckpt")
+
+
+@pytest.mark.parametrize("module", CHECKPOINT_CLIS)
+def test_delay_file_exits_2_with_one_line(module, capsys):
+    main = importlib.import_module(module).main
+    assert main(["--resume", str(DELAY)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "delay" in err and len(err.splitlines()) == 1
+
+
+def test_fabric_stage_plan_with_delay_is_rejected(tmp_path):
+    spec = FabricSpec(
+        m=2, k=2, r=2,
+        config=SimConfig(n_ports=4, warmup_slots=10, measure_slots=40, seed=11),
+        load=0.9,
+        stage_faults=((1, 0, FaultPlan.message_loss(0.2).to_spec()),),
+    )
+    path = tmp_path / "fab.ckpt"
+    run_fabric(spec, shards=1, checkpoint_path=path, stop_at_slot=20)
+    payload = load_checkpoint(path)
+    stage, index, plan = payload["run"]["spec"]["stage_faults"][0]
+    payload["run"]["spec"]["stage_faults"][0] = [stage, index, plan + [["delay", 0.3]]]
+    save_checkpoint(path, payload)
+    with pytest.raises(CheckpointError, match="delay"):
+        resume_fabric(path)

@@ -107,8 +107,11 @@ class TestKernelEquivalence:
                 assert fast_it.accepts == ref_it.accepts
 
     @pytest.mark.parametrize("name", ["lcf_dist", "lcf_dist_rr"])
+    @pytest.mark.parametrize(
+        "width", [None, 63, 64, 65, pytest.param(128, marks=pytest.mark.slow)]
+    )
     @given(
-        run=matrix_runs(min_n=2, max_n=6, max_len=6),
+        data=st.data(),
         request_loss=st.floats(0.0, 0.6),
         grant_loss=st.floats(0.0, 0.6),
         accept_loss=st.floats(0.0, 0.6),
@@ -116,15 +119,24 @@ class TestKernelEquivalence:
     )
     @settings(max_examples=25, deadline=None)
     def test_lossy_channel_composition_bit_identical(
-        self, name, run, request_loss, grant_loss, accept_loss, seed
+        self, name, width, data, request_loss, grant_loss, accept_loss, seed
     ):
-        # The faithful per-message lossy protocol and its bitset twin
-        # must agree cycle for cycle: schedules AND iteration traces,
+        # The per-message lossy protocol and its bitset kernel must
+        # agree cycle for cycle: schedules AND iteration traces,
         # including the stale sender-side nrq advisory under loss.
+        # ``width`` None draws small switches; the fixed widths straddle
+        # the 64-bit word, where a lossy kernel joins its word tuples.
         from repro.faults.channel import make_lossy_scheduler
         from repro.faults.injector import FaultInjector
 
-        n, matrices = run
+        if width is None:
+            n, matrices = data.draw(matrix_runs(min_n=2, max_n=6, max_len=6))
+        else:
+            n = width
+            rng = np.random.default_rng(seed)
+            matrices = [
+                rng.random((n, n)) < rng.uniform(0.1, 0.9) for _ in range(2)
+            ]
         plan = FaultPlan(
             request_loss=request_loss,
             grant_loss=grant_loss,

@@ -2,15 +2,15 @@
 
 The key acceptance properties of the fault subsystem:
 
-* every schedule produced under *any* loss/delay combination is a valid
-  conflict-free matching over the offered requests (property-tested at
-  0-100% loss);
+* every schedule produced under *any* loss rate is a valid conflict-free
+  matching over the offered requests (property-tested at 0-100% loss);
 * the protocol never raises, even at total loss;
-* at ``delay=0`` the matrix implementation and the message-passing
-  agent implementation make bit-identical decisions — the injector
-  hands both the same per-message fates;
-* with a zero-rate plan both lossy implementations reproduce their
-  perfect-channel counterparts exactly.
+* the matrix reference and the bitset kernel make bit-identical
+  decisions under loss — the injector hands both the same per-message
+  fates;
+* with a zero-rate plan the lossy protocol reproduces the perfect
+  channel exactly;
+* each message kind's loss has its own, pinned effect (below).
 """
 
 import numpy as np
@@ -19,52 +19,53 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.lcf_dist import LCFDistributed, LCFDistributedRR
-from repro.core.lcf_dist_agents import LCFDistributedAgents
+from repro.fastpath.lcf_dist import FastLCFDistributed, FastLCFDistributedRR
 from repro.faults import (
     FaultInjector,
     FaultPlan,
-    LossyLCFDistributed,
-    LossyLCFDistributedAgents,
-    LossyLCFDistributedRR,
     RequestLossFilter,
     make_lossy_scheduler,
 )
 from repro.matching.verify import is_valid_schedule
 from repro.baselines.registry import make_scheduler
-from repro.faults.channel import FastLossyLCFDistributed, FastLossyLCFDistributedRR
 from repro.fastpath.registry import _reference_kernels
 
 from tests.conftest import request_matrices_of
 
 
-def _injector(rate, delay=0.0, n=8, seed=0):
-    return FaultInjector(FaultPlan.message_loss(rate, delay=delay), n=n, seed=seed)
+def _injector(rate, n=8, seed=0):
+    return FaultInjector(FaultPlan.message_loss(rate), n=n, seed=seed)
 
 
-LOSSY_CLASSES = [LossyLCFDistributed, LossyLCFDistributedRR, LossyLCFDistributedAgents]
+LOSSY_PROTOCOLS = [
+    pytest.param(LCFDistributed, id="LossyLCFDistributed"),
+    pytest.param(LCFDistributedRR, id="LossyLCFDistributedRR"),
+    pytest.param(FastLCFDistributed, id="FastLossyLCFDistributed"),
+    pytest.param(FastLCFDistributedRR, id="FastLossyLCFDistributedRR"),
+]
 
 
 class TestValidityUnderLoss:
-    @pytest.mark.parametrize("cls", LOSSY_CLASSES)
+    @pytest.mark.parametrize("cls", LOSSY_PROTOCOLS)
     @given(
         rate=st.floats(0.0, 1.0),
-        delay=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**16),
         requests=request_matrices_of(6),
     )
     @settings(max_examples=40, deadline=None)
-    def test_every_schedule_valid(self, cls, rate, delay, seed, requests):
-        scheduler = cls(6, _injector(rate, delay, n=6, seed=seed))
+    def test_every_schedule_valid(self, cls, rate, seed, requests):
+        scheduler = cls(6, injector=_injector(rate, n=6, seed=seed))
         for _ in range(4):
             schedule = scheduler.schedule(requests)
             assert is_valid_schedule(requests, schedule)
 
-    @pytest.mark.parametrize("cls", LOSSY_CLASSES)
+    @pytest.mark.parametrize("cls", LOSSY_PROTOCOLS)
     def test_total_loss_yields_empty_schedule_without_raising(self, cls):
-        scheduler = cls(4, _injector(1.0, n=4))
+        scheduler = cls(4, injector=_injector(1.0, n=4))
         requests = np.ones((4, 4), dtype=bool)
         for _ in range(5):
             schedule = scheduler.schedule(requests)
+            # Only the RR overlay's pre-match needs no message.
             assert (schedule == -1).all() or is_valid_schedule(requests, schedule)
 
     def test_request_loss_filter_valid_under_loss(self):
@@ -80,23 +81,18 @@ class TestValidityUnderLoss:
 
 
 class TestZeroRateEquivalence:
-    @pytest.mark.parametrize(
-        "lossy_cls, plain_cls",
-        [
-            (LossyLCFDistributed, LCFDistributed),
-            (LossyLCFDistributedRR, LCFDistributedRR),
-            (LossyLCFDistributedAgents, LCFDistributedAgents),
-        ],
-    )
-    def test_zero_rate_matches_perfect_channel(self, lossy_cls, plain_cls):
-        lossy = lossy_cls(8, _injector(0.0))
-        plain = plain_cls(8)
+    @pytest.mark.parametrize("cls", LOSSY_PROTOCOLS)
+    def test_zero_rate_matches_perfect_channel(self, cls):
+        lossy = cls(8, injector=_injector(0.0))
+        plain = cls(8)
         rng = np.random.default_rng(7)
         for _ in range(30):
             requests = rng.random((8, 8)) < 0.4
             np.testing.assert_array_equal(
                 lossy.schedule(requests), plain.schedule(requests)
             )
+        for lossy_ptr, plain_ptr in zip(lossy.pointers, plain.pointers):
+            np.testing.assert_array_equal(lossy_ptr, plain_ptr)
 
 
 class TestMatrixAgentEquivalence:
@@ -106,54 +102,75 @@ class TestMatrixAgentEquivalence:
     )
     @settings(max_examples=25, deadline=None)
     def test_pure_drops_bit_identical(self, rate, seed):
-        """At delay=0 the matrix and agent protocols draw identical
+        """The matrix reference and the bitset kernel draw identical
         per-message fates from the injector and so agree exactly."""
-        matrix = LossyLCFDistributed(6, _injector(rate, n=6, seed=seed))
-        agents = LossyLCFDistributedAgents(6, _injector(rate, n=6, seed=seed))
+        matrix = LCFDistributed(6, injector=_injector(rate, n=6, seed=seed))
+        kernel = FastLCFDistributed(6, injector=_injector(rate, n=6, seed=seed))
         rng = np.random.default_rng(seed)
         for _ in range(10):
             requests = rng.random((6, 6)) < 0.5
             np.testing.assert_array_equal(
-                matrix.schedule(requests), agents.schedule(requests)
+                matrix.schedule(requests), kernel.schedule(requests)
             )
 
-    @given(
-        rate=st.floats(0.0, 0.6),
-        delay=st.floats(0.0, 0.6),
-        seed=st.integers(0, 2**12),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_delay_path_never_raises_and_counts_messages(self, rate, delay, seed):
-        agents = LossyLCFDistributedAgents(6, _injector(rate, delay, n=6, seed=seed))
-        rng = np.random.default_rng(seed + 1)
+
+class TestMessageKinds:
+    """One kind lost entirely, on the reference protocol: no match can
+    commit, and since pointers only move on a committed match, none
+    moves."""
+
+    @pytest.mark.parametrize("kind", ["request_loss", "grant_loss", "accept_loss"])
+    def test_total_loss_of_one_kind_matches_nothing(self, kind):
+        n = 6
+        injector = FaultInjector(FaultPlan(**{kind: 1.0}), n=n, seed=4)
+        scheduler = LCFDistributed(n, injector=injector)
+        rng = np.random.default_rng(2)
         for _ in range(10):
-            requests = rng.random((6, 6)) < 0.5
-            schedule = agents.schedule(requests)
-            assert is_valid_schedule(requests, schedule)
-        if rate > 0.2:
-            assert agents.dropped_messages > 0
-        if delay > 0.2:
-            assert agents.delayed_messages > 0
+            requests = rng.random((n, n)) < 0.6
+            assert (scheduler.schedule(requests) == -1).all()
+        grant_ptr, accept_ptr = scheduler.pointers
+        assert not grant_ptr.any()
+        assert not accept_ptr.any()
+
+    def test_nrq_counts_requests_sent_ngt_counts_delivered(self):
+        """Under request loss the sender-side nrq still counts every
+        request sent; the trace's request matrix and ngt count only the
+        ones delivered."""
+        n = 8
+        injector = FaultInjector(FaultPlan(request_loss=0.5), n=n, seed=9)
+        scheduler = LCFDistributed(n, injector=injector)
+        scheduler.record_trace = True
+        rng = np.random.default_rng(3)
+        lost = 0
+        for _ in range(20):
+            requests = rng.random((n, n)) < 0.7
+            scheduler.schedule(requests)
+            first = scheduler.last_trace[0]
+            # Nothing is matched before iteration 1: every request is sent.
+            np.testing.assert_array_equal(first.nrq, requests.sum(axis=1))
+            assert not (first.requests & ~requests).any()
+            lost += int(requests.sum() - first.requests.sum())
+            for it in scheduler.last_trace:
+                np.testing.assert_array_equal(it.ngt, it.requests.sum(axis=0))
+                assert (it.requests.sum(axis=1) <= it.nrq).all()
+        assert lost > 0
 
 
 class TestFactory:
     def test_protocol_names_get_faithful_implementation(self):
         injector = _injector(0.1, n=4)
         with _reference_kernels():
-            assert isinstance(
-                make_lossy_scheduler("lcf_dist", 4, injector), LossyLCFDistributed
-            )
-            assert isinstance(
-                make_lossy_scheduler("lcf_dist_rr", 4, injector),
-                LossyLCFDistributedRR,
-            )
-        # Outside the override the bitset twins of the same protocol.
-        assert isinstance(
-            make_lossy_scheduler("lcf_dist", 4, injector), FastLossyLCFDistributed
-        )
-        assert isinstance(
-            make_lossy_scheduler("lcf_dist_rr", 4, injector), FastLossyLCFDistributedRR
-        )
+            reference = make_lossy_scheduler("lcf_dist", 4, injector)
+            reference_rr = make_lossy_scheduler("lcf_dist_rr", 4, injector)
+        assert type(reference) is LCFDistributed
+        assert type(reference_rr) is LCFDistributedRR
+        # Outside the override the bitset kernels of the same protocol.
+        kernel = make_lossy_scheduler("lcf_dist", 4, injector)
+        kernel_rr = make_lossy_scheduler("lcf_dist_rr", 4, injector)
+        assert type(kernel) is FastLCFDistributed
+        assert type(kernel_rr) is FastLCFDistributedRR
+        for scheduler in (reference, reference_rr, kernel, kernel_rr):
+            assert scheduler.injector is injector
 
     def test_other_names_get_request_filter(self):
         injector = _injector(0.1, n=4)

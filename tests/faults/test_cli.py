@@ -90,6 +90,16 @@ def test_bad_port_down_spec_exits_nonzero(capsys):
     capsys.readouterr()
 
 
+def test_delay_flag_is_gone(capsys):
+    try:
+        cli.main([*FAST, "--delay", "0.1"])
+    except SystemExit as exc:
+        assert exc.code == 2
+    else:  # pragma: no cover
+        raise AssertionError("argparse should reject --delay")
+    assert "--delay" in capsys.readouterr().err
+
+
 def test_both_grids_rejected(capsys):
     code, _, stderr = run_cli(
         capsys, "--loss-grid", "0,0.1", "--availability-grid", "1.0"

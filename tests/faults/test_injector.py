@@ -95,7 +95,7 @@ class TestMessageFates:
         )
 
     def test_purity_call_order_independent(self):
-        plan = FaultPlan.message_loss(0.5, delay=0.3)
+        plan = FaultPlan.message_loss(0.5)
         a = FaultInjector(plan, n=8, seed=42)
         b = FaultInjector(plan, n=8, seed=42)
         queries = [
@@ -123,13 +123,15 @@ class TestMessageFates:
         }
         assert fates[0] != fates[1]
 
-    def test_accepts_never_delayed(self):
-        injector = FaultInjector(FaultPlan(delay=1.0), n=4)
+    def test_each_kind_has_its_own_loss_rate(self):
+        injector = FaultInjector(FaultPlan(accept_loss=1.0), n=4)
         assert not any(
-            injector.message_delayed(slot, 0, ACCEPT, 0, 1) for slot in range(50)
+            injector.message_survives(slot, 0, ACCEPT, 0, 1) for slot in range(50)
         )
         assert all(
-            injector.message_delayed(slot, 0, REQUEST, 0, 1) for slot in range(50)
+            injector.message_survives(slot, 0, kind, 0, 1)
+            for slot in range(50)
+            for kind in (REQUEST, GRANT)
         )
 
     @given(rate=st.floats(0.05, 0.95), seed=st.integers(0, 2**32))

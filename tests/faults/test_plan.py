@@ -77,7 +77,7 @@ class TestClassification:
         assert plan.has_topology_faults
         assert not plan.has_message_faults
 
-    @pytest.mark.parametrize("field", ["request_loss", "grant_loss", "accept_loss", "delay"])
+    @pytest.mark.parametrize("field", ["request_loss", "grant_loss", "accept_loss"])
     def test_probabilities_validated(self, field):
         with pytest.raises(ValueError):
             FaultPlan(**{field: 1.5})
@@ -97,7 +97,6 @@ class TestSpecRoundTrip:
             request_loss=0.1,
             grant_loss=0.2,
             accept_loss=0.05,
-            delay=0.01,
             crc_bursts=(CrcBurst(4, 0, 10, "gnt"),),
         )
         assert FaultPlan.from_spec(plan.to_spec()) == plan
@@ -109,6 +108,11 @@ class TestSpecRoundTrip:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown fault-plan keys"):
             FaultPlan.from_spec({"packet_loss": 0.1})
+
+    def test_delay_is_not_a_plan_field(self):
+        # Late delivery is not modelled; a spec that asks for it is refused.
+        with pytest.raises(ValueError, match="delay"):
+            FaultPlan.from_spec({"delay": 0.1})
 
     def test_spec_is_hashable_and_deterministic(self):
         plan = FaultPlan.message_loss(0.25)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.baselines.registry import available_schedulers, make_scheduler
-from repro.core.lcf_dist_agents import LCFDistributedAgents
 from repro.hw.rtl import LCFSchedulerRTL
 from repro.matching.verify import is_valid_schedule, matching_size
 from repro.sim.config import SimConfig
@@ -44,14 +43,17 @@ class TestWideSwitches:
         assert rtl.last_cycles == 3 * 32 + 2
 
     def test_agents_match_matrix_at_32(self):
+        """The bitset kernel — every port's view its own mask — agrees
+        with the matrix computation of the Section 5 protocol."""
         from repro.core.lcf_dist import LCFDistributed
+        from repro.fastpath.lcf_dist import FastLCFDistributed
 
         rng = np.random.default_rng(2)
-        agents = LCFDistributedAgents(32, iterations=5)
+        kernel = FastLCFDistributed(32, iterations=5)
         matrix = LCFDistributed(32, iterations=5)
         for _ in range(5):
             requests = rng.random((32, 32)) < 0.4
-            assert (agents.schedule(requests) == matrix.schedule(requests)).all()
+            assert (kernel.schedule(requests) == matrix.schedule(requests)).all()
 
     def test_simulation_runs_at_32_ports(self):
         config = SimConfig(n_ports=32, warmup_slots=100, measure_slots=500)
