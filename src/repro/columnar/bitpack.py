@@ -3,9 +3,10 @@
 The columnar engine computes on boolean tensors (numpy vectorises those
 directly), but exposes the packed ``(R, n, words)`` uint64 layout for
 inspection and for cross-checking against the serial fastpath masks:
-word ``w`` of row ``i`` holds bit ``j & 63`` for output ``j = 64*w + k``,
-LSB-first — the same layout as :mod:`repro.fastpath.bitops` word tuples,
-with :data:`~repro.fastpath.bitops.WORD_BITS`-bit words.
+word ``w`` of row ``i`` holds bits ``64*w .. 64*w + 63``, LSB-first, so
+the row's words read as one little-endian integer are exactly the
+:mod:`repro.fastpath.bitops` Python-int mask of that row
+(:data:`~repro.fastpath.bitops.WORD_BITS`-bit words).
 """
 
 from __future__ import annotations

@@ -209,8 +209,9 @@ class ColumnarEngine:
 
     def request_bitsets(self) -> np.ndarray:
         """Current request state as ``(R, n, words)`` uint64 bitsets —
-        the serial ``VOQSet.row_masks`` / ``row_words`` layout, for
-        cross-checks and debugging."""
+        row ``i`` of replicate ``r``, read as one little-endian integer,
+        is the serial ``VOQSet.row_masks[i]``; for cross-checks and
+        debugging."""
         return pack_requests(self._reqT.transpose(0, 2, 1))
 
     def voq_occupancy(self) -> np.ndarray:

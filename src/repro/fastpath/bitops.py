@@ -2,18 +2,11 @@
 
 Layout convention: a request matrix row is packed LSB-first, so input
 ``i``'s mask has bit ``j`` set iff ``R[i, j]`` is True — ``mask >> j & 1``
-reads one crosspoint. For ``n <= 64`` every row is one machine word
-(a single Python int), and the single-word kernels operate on those
-ints directly.
-
-Beyond 64 ports a row becomes a **word tuple**: a list of
-``word_count(n)`` ints of :data:`WORD_BITS` bits each, LSB-first within
-and across words, so bit ``j`` lives at ``words[j >> 6] >> (j & 63) & 1``.
-Every single-word helper has a ``*_words`` twin operating on that
-layout; the multi-word kernels scan word-by-word instead of rotating
-one huge int, which keeps every arithmetic operation on a machine-sized
-value (CPython's small-int fast path) and never materialises an
-``n``-bit rotated mask.
+reads one crosspoint. Every row is one Python int at every width: up to
+64 ports it fits one machine word, beyond that it is simply a wider int,
+and every AND, popcount and rotation the kernels do on it is still one
+C-level operation — the software form of the paper's n-bit request
+register (Figure 6).
 
 The helpers here are deliberately tiny: the kernels inline the
 bit-extraction loops (``m & -m`` / ``bit_length``) on their hot paths
@@ -25,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Bits per word of the multi-word (``n > 64``) mask layout.
+#: Bits per machine word: the widest row the uint64 dot product packs,
+#: and the word size of :mod:`repro.columnar.bitpack`.
 WORD_BITS = 64
 
 # One power of two per column; a boolean row dotted with this vector IS
@@ -109,171 +103,10 @@ def select_kth_bit(mask: int, k: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-# -- multi-word (n > 64) layout ---------------------------------------
+# -- word layout of the columnar bitsets -------------------------------
 
 
 def word_count(n: int) -> int:
-    """Words needed for an ``n``-bit mask in the multi-word layout."""
+    """Words needed for an ``n``-bit mask split into :data:`WORD_BITS`-bit
+    words (the packed layout of :mod:`repro.columnar.bitpack`)."""
     return (n + WORD_BITS - 1) >> 6
-
-
-def full_words(n: int) -> list[int]:
-    """All-ones ``n``-bit mask as a word tuple (partial last word)."""
-    words = [(1 << WORD_BITS) - 1] * word_count(n)
-    tail = n & (WORD_BITS - 1)
-    if tail:
-        words[-1] = (1 << tail) - 1
-    return words
-
-
-def int_to_words(mask: int, n: int) -> list[int]:
-    """Split an ``n``-bit Python-int mask into the word-tuple layout."""
-    low = (1 << WORD_BITS) - 1
-    return [(mask >> (w << 6)) & low for w in range(word_count(n))]
-
-
-def words_to_int(words: list[int]) -> int:
-    """Join a word tuple back into one Python-int mask."""
-    mask = 0
-    for w, word in enumerate(words):
-        mask |= word << (w << 6)
-    return mask
-
-
-def pack_rows_words(matrix: np.ndarray) -> list[list[int]]:
-    """Per-input word tuples of a boolean request matrix.
-
-    Multi-word twin of :func:`pack_rows`: row ``i`` of the result is
-    ``int_to_words(pack_rows(matrix)[i], n)``, produced in one
-    ``packbits``-and-view pass over the whole matrix.
-    """
-    arr = np.ascontiguousarray(matrix, dtype=np.uint8)
-    rows, n = arr.shape
-    words = word_count(n)
-    packed = np.packbits(arr, axis=1, bitorder="little")
-    pad = words * 8 - packed.shape[1]
-    if pad:
-        packed = np.pad(packed, ((0, 0), (0, pad)))
-    return (
-        np.frombuffer(packed.tobytes(), dtype="<u8").reshape(rows, words).tolist()
-    )
-
-
-def pack_cols_words(matrix: np.ndarray) -> list[list[int]]:
-    """Per-output word tuples — ``pack_rows_words`` of the transpose."""
-    return pack_rows_words(np.ascontiguousarray(matrix).T)
-
-
-def unpack_rows_words(rows: list[list[int]], n: int) -> np.ndarray:
-    """Inverse of :func:`pack_rows_words`: word tuples back to a matrix."""
-    matrix = np.zeros((len(rows), n), dtype=bool)
-    for i, words in enumerate(rows):
-        for w, word in enumerate(words):
-            base = w << 6
-            while word:
-                bit = word & -word
-                matrix[i, base + bit.bit_length() - 1] = True
-                word ^= bit
-    return matrix
-
-
-def derive_cols_words(rows: list[list[int]], n: int) -> list[list[int]]:
-    """Column word tuples from row word tuples (bit transpose)."""
-    words = word_count(len(rows))
-    cols = [[0] * words for _ in range(n)]
-    for i, row in enumerate(rows):
-        iw, ibit = i >> 6, 1 << (i & 63)
-        for w, word in enumerate(row):
-            base = w << 6
-            while word:
-                low = word & -word
-                cols[base + low.bit_length() - 1][iw] |= ibit
-                word ^= low
-    return cols
-
-
-def popcount_words(words: list[int]) -> int:
-    """Total set bits of a word tuple — the multi-word popcount."""
-    return sum(map(int.bit_count, words))
-
-
-def next_at_or_after_words(words: list[int], start: int, n: int) -> int:
-    """First set bit of a word tuple in cyclic order from ``start``.
-
-    Multi-word twin of :func:`next_at_or_after`. Instead of rotating an
-    ``n``-bit int, the scan starts in ``start``'s word (high bits), walks
-    the following words cyclically, and finishes with the low bits of
-    the start word — every operation stays on one machine word.
-    """
-    count = len(words)
-    w0, b0 = start >> 6, start & 63
-    high = words[w0] >> b0
-    if high:
-        return start + (high & -high).bit_length() - 1
-    for step in range(1, count + 1):
-        w = w0 + step
-        if w >= count:
-            w -= count
-        word = words[w]
-        if step == count:
-            word &= (1 << b0) - 1  # wrapped: low bits of the start word
-        if word:
-            return (w << 6) + (word & -word).bit_length() - 1
-    raise ValueError("no candidate set")
-
-
-def select_kth_bit_words(words: list[int], k: int) -> int:
-    """Index of the ``k``-th set bit of a word tuple in ascending order."""
-    for w, word in enumerate(words):
-        count = word.bit_count()
-        if k < count:
-            for _ in range(k):
-                word &= word - 1
-            return (w << 6) + (word & -word).bit_length() - 1
-        k -= count
-    raise IndexError("k out of range for mask")
-
-
-def rotating_argmin_words(
-    keys: list[int], candidates: list[int], start: int, n: int
-) -> int:
-    """Minimum-``keys`` candidate, ties broken by the rotating chain
-    from ``start`` — the word-tuple form of
-    :func:`repro.core.base.rotating_argmin`.
-
-    Scans the candidate word tuple in cyclic bit order from ``start``
-    (never materialising a rotated mask), keeping the first strict
-    minimum seen, with an early exit at key 1 — the floor for a live
-    candidate in every kernel that calls this (an LCF candidate's
-    choice count and a granting output's request count are both >= 1).
-    Candidate keys must lie in ``[1, n]`` — they are choice/request
-    counts, and the scan's not-yet-seen sentinel is ``n + 1``.
-    Returns -1 when no candidate bit is set.
-    """
-    count = len(candidates)
-    w0, b0 = start >> 6, start & 63
-    best = n + 1
-    winner = -1
-    for step in range(count + 1):
-        w = w0 + step
-        if w >= count:
-            w -= count
-        word = candidates[w]
-        if step == 0:
-            word >>= b0
-            base = start
-        else:
-            base = w << 6
-            if step == count:
-                word &= (1 << b0) - 1  # wrapped: low bits of start word
-        while word:
-            low = word & -word
-            word ^= low
-            index = base + low.bit_length() - 1
-            key = keys[index]
-            if key < best:
-                best = key
-                winner = index
-                if key == 1:
-                    return winner
-    return winner

@@ -8,35 +8,23 @@ overrides the public entry point to validate, pack and dispatch without
 the defensive copy. Semantics are unchanged: the caller's matrix is
 left untouched either way.
 
-Dispatch is width-dependent: up to :data:`~repro.fastpath.bitops.WORD_BITS`
-ports a row fits one machine word and ``schedule_masks`` (one Python int
-per row) runs; wider switches pack each row into a word tuple and run
-``schedule_words``. Kernels implement the single-word path and may
-override :meth:`BitmaskKernelMixin.schedule_words` with a first-class
-multi-word kernel; the mixin's default joins the word tuples back into
-Python ints and reuses ``schedule_masks``, which is correct at any
-width (Python ints are arbitrary precision) just not word-tuned.
+There is one mask layout at every width: each row (and column) packs
+into one Python int, which is simply wider past 64 ports, and
+``schedule_masks`` runs on those ints — the same masks
+:class:`repro.sim.queues.VOQSet` maintains for the crossbar's fast loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.fastpath.bitops import (
-    WORD_BITS,
-    pack_cols,
-    pack_cols_words,
-    pack_rows,
-    pack_rows_words,
-    words_to_int,
-)
+from repro.fastpath.bitops import pack_cols, pack_rows
 from repro.types import RequestMatrix, Schedule, as_request_matrix
 
 
 class BitmaskKernelMixin:
     """Mixin for schedulers whose core is ``schedule_masks(rows, cols)``
-    (single word per row) and ``schedule_words(rows, cols)`` (word
-    tuples, ``n > 64``)."""
+    (one Python-int bitmask per row and per column)."""
 
     def schedule(self, requests: RequestMatrix) -> Schedule:
         """Compute a conflict-free schedule for one time slot.
@@ -50,25 +38,8 @@ class BitmaskKernelMixin:
                 f"{self.name} is configured for n={self.n}, got a "
                 f"{matrix.shape[0]}-port request matrix"
             )
-        if self.n <= WORD_BITS:
-            grants = self.schedule_masks(pack_rows(matrix), pack_cols(matrix))
-        else:
-            grants = self.schedule_words(
-                pack_rows_words(matrix), pack_cols_words(matrix)
-            )
+        grants = self.schedule_masks(pack_rows(matrix), pack_cols(matrix))
         return np.array(grants, dtype=np.int64)
-
-    def schedule_words(
-        self, rows: list[list[int]], cols: list[list[int]] | None = None
-    ) -> list[int]:
-        """Multi-word fallback: join word tuples and run the single-word
-        kernel on big Python ints. Kernels override this with a
-        word-tuned implementation; the fallback keeps any kernel correct
-        at every width."""
-        return self.schedule_masks(
-            [words_to_int(row) for row in rows],
-            None if cols is None else [words_to_int(col) for col in cols],
-        )
 
     def _schedule(self, requests: RequestMatrix) -> Schedule:
         # Reached only if someone bypasses the public entry point.

@@ -4,7 +4,7 @@ Drop-in twins of :class:`repro.core.lcf_central.LCFCentralVariant` and
 its two paper configurations. The kernel follows the Figure 2
 pseudocode on Python-int bitmasks:
 
-* ``col_free`` / ``free_in`` are one-word masks of the outputs still
+* ``col_free`` / ``free_in`` are bitmasks of the outputs still
   schedulable and the inputs not yet granted this cycle;
 * NRQ — the per-input number of *remaining* choices — starts as the
   popcount of ``row & col_free`` and is decremented for every requester
@@ -27,16 +27,9 @@ Decision-trace mode needs per-step NRQ snapshots, so it keeps the
 per-bit kernel (tracing is an observability mode; its cost is
 irrelevant).
 
-``n > 64`` switches go through the inherited
-:meth:`~repro.fastpath.kernel.BitmaskKernelMixin.schedule_words`
-bridge, which joins each word tuple into one wide Python int and runs
-this same bucketed kernel. For the central family that join *is* the
-multi-word strategy: a 128-port row is a two-digit big int, so every
-AND/OR/popcount in the bucket loop stays a single C-level call,
-whereas per-word tuple arithmetic costs a Python-level loop (and a
-list allocation) per operation. Measured at 128 ports the joined
-bucket kernel is ~2x the reference while a word-tuple transcription of
-it ran *slower* than the reference.
+``n > 64`` switches run this same bucketed kernel on wider masks: a
+128-port row is a five-digit Python int (30-bit digits), so every
+AND/OR/popcount in the bucket loop stays a single C-level call.
 
 State handling (the ``I``/``J`` offsets, ``reset``, trace recording) is
 inherited from the reference class, so the two implementations cannot

@@ -107,8 +107,9 @@ def _result_summary(result) -> str:
     return "\n".join(lines)
 
 
-def _run_checkpointed(args) -> int:
-    """--checkpoint / --resume flows: the run_simulation driver."""
+def _run_checkpointed(args, config: SimConfig | None = None) -> int:
+    """--checkpoint / --resume flows: the run_simulation driver
+    (``config`` is the fresh run's; None when resuming)."""
     from repro.checkpoint import CheckpointError, resume_simulation
     from repro.sim.simulator import run_simulation
 
@@ -118,13 +119,6 @@ def _run_checkpointed(args) -> int:
         if args.resume:
             result = resume_simulation(args.resume, tracer=tracer, metrics=metrics)
         else:
-            config = SimConfig(
-                n_ports=args.ports,
-                warmup_slots=args.warmup,
-                measure_slots=args.slots,
-                iterations=args.iterations,
-                seed=args.seed,
-            )
             result = run_simulation(
                 config,
                 args.scheduler,
@@ -195,16 +189,27 @@ def main(argv: list[str] | None = None) -> int:
     if args.load <= 0.0 or args.load > 1.0:
         print(f"lcf-trace: load {args.load} outside (0, 1]", file=sys.stderr)
         return 2
+    # Bad run options exit 2 with one line, before anything runs.
+    try:
+        if args.scheduler not in available_schedulers():
+            raise ValueError(
+                f"unknown scheduler {args.scheduler!r}; available: "
+                f"{', '.join(available_schedulers())}"
+            )
+        config = SimConfig(
+            n_ports=args.ports,
+            warmup_slots=args.warmup,
+            measure_slots=args.slots,
+            iterations=args.iterations,
+            seed=args.seed,
+        )
+        pattern = make_traffic(args.traffic, args.ports, args.load, seed=args.seed)
+    except (ValueError, KeyError) as exc:
+        print(f"lcf-trace: {exc.args[0]}", file=sys.stderr)
+        return 2
     if args.checkpoint:
-        return _run_checkpointed(args)
+        return _run_checkpointed(args, config)
 
-    config = SimConfig(
-        n_ports=args.ports,
-        warmup_slots=args.warmup,
-        measure_slots=args.slots,
-        iterations=args.iterations,
-        seed=args.seed,
-    )
     scheduler = make_crossbar_scheduler(
         args.scheduler, args.ports, iterations=args.iterations, seed=args.seed
     )
@@ -220,7 +225,6 @@ def main(argv: list[str] | None = None) -> int:
         config, probe or scheduler, tracer=tracer, metrics=metrics,
         admission=make_admission(_parse_admission(args.admission)),
     )
-    pattern = make_traffic(args.traffic, args.ports, args.load, seed=args.seed)
 
     # `measuring` gates statistics only; the tracer sees every slot,
     # which is what a timeline viewer wants.

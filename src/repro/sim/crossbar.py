@@ -182,9 +182,7 @@ class InputQueuedSwitch:
         # The capability probe is type-level on purpose: wrappers like
         # RequestLossFilter forward unknown attributes to their inner
         # scheduler, and a forwarded schedule_masks would bypass the
-        # wrapper's own filtering. Beyond 64 ports the VOQ masks are
-        # word tuples, so the probe requires the multi-word entry point
-        # (``schedule_words``) instead.
+        # wrapper's own filtering.
         self._fast_slot = self._probe_fast_slot()
         if injector is not None:
             self._down_in_prev = np.zeros(n, dtype=bool)
@@ -206,9 +204,6 @@ class InputQueuedSwitch:
         """Whether the current scheduler/instrumentation combination can
         take the branch-free bitmask loop (see the comment in
         ``__init__``)."""
-        kernel_entry = (
-            "schedule_masks" if self.voqs.row_words is None else "schedule_words"
-        )
         return (
             self.tracer is None
             and self.injector is None
@@ -217,7 +212,7 @@ class InputQueuedSwitch:
             and self.forward_sink is None
             and self.admission is None
             and getattr(self.scheduler, "weight_kind", None) is None
-            and callable(getattr(type(self.scheduler), kernel_entry, None))
+            and callable(getattr(type(self.scheduler), "schedule_masks", None))
         )
 
     def reset_run(self, scheduler: Scheduler | None = None) -> None:
@@ -448,8 +443,8 @@ class InputQueuedSwitch:
 
         Same four stages in the same order as :meth:`step`, but the
         scheduler is fed the incrementally-maintained request bitmasks
-        (``VOQSet.row_masks`` / ``col_masks``, or the word tuples past
-        64 ports) instead of a freshly built boolean matrix, and all
+        (``VOQSet.row_masks`` / ``col_masks``, one Python int per port
+        at any width) instead of a freshly built boolean matrix, and all
         bookkeeping stays in plain Python ints. With a metrics registry
         attached, counters and histograms are tallied locally and added
         to the registry once, when the block ends.
@@ -461,19 +456,14 @@ class InputQueuedSwitch:
         voq_push = voqs.push
         voq_pop = voqs.pop
         scheduler = self.scheduler
-        if voqs.row_words is None:
-            kernel = scheduler.schedule_masks
-            rows, cols = voqs.row_masks, voqs.col_masks
-        else:
-            kernel = scheduler.schedule_words
-            rows, cols = voqs.row_words, voqs.col_words
+        kernel = scheduler.schedule_masks
+        rows, cols = voqs.row_masks, voqs.col_masks
         latency_add = self.latency.add
         samples = self.latency_samples
         service = self.service if measuring else None
         metered = self.metrics is not None
         if metered:
             n = self.n
-            masks = voqs.row_masks
             rate_observe = self.rate_estimator.observe
             delay_add = self.delay_histogram.add
             matching = [0] * (n + 1)
@@ -508,7 +498,7 @@ class InputQueuedSwitch:
             if track_rr:
                 rr_i, rr_j = scheduler.rr_position
                 self._pending_rr = (
-                    (rr_i, rr_j) if masks[rr_i] >> rr_j & 1 else None
+                    (rr_i, rr_j) if rows[rr_i] >> rr_j & 1 else None
                 )
             grants = kernel(rows, cols)
 

@@ -12,8 +12,6 @@ from collections import deque
 
 import numpy as np
 
-from repro.fastpath.bitops import WORD_BITS, word_count
-
 
 class PacketQueue:
     """Per-input FIFO of ``(dst, t_generated)`` pairs with finite capacity.
@@ -78,18 +76,10 @@ class VOQSet:
         #: Per-input request bitmasks (bit j set iff VOQ (i, j) is
         #: non-empty) and the per-output transpose — maintained on every
         #: 0 <-> 1 occupancy transition so the fastpath kernels can read
-        #: the request state without building a matrix.
+        #: the request state without building a matrix. One Python int
+        #: per port at every width: past 64 ports it is simply wider.
         self.row_masks: list[int] = [0] * n
         self.col_masks: list[int] = [0] * n
-        #: Word-tuple twins of the masks for ``n > 64`` switches (the
-        #: multi-word kernel layout of :mod:`repro.fastpath.bitops`);
-        #: ``None`` when a row fits one machine word.
-        self.row_words: list[list[int]] | None = None
-        self.col_words: list[list[int]] | None = None
-        if n > WORD_BITS:
-            words = word_count(n)
-            self.row_words = [[0] * words for _ in range(n)]
-            self.col_words = [[0] * words for _ in range(n)]
 
     @property
     def occupancy(self) -> np.ndarray:
@@ -112,9 +102,6 @@ class VOQSet:
         if len(queue) == 1:
             self.row_masks[i] |= 1 << j
             self.col_masks[j] |= 1 << i
-            if self.row_words is not None:
-                self.row_words[i][j >> 6] |= 1 << (j & 63)
-                self.col_words[j][i >> 6] |= 1 << (i & 63)
 
     def pop(self, i: int, j: int) -> int:
         """Dequeue the head packet of VOQ (i, j); returns its timestamp."""
@@ -124,9 +111,6 @@ class VOQSet:
         if not queue:
             self.row_masks[i] &= ~(1 << j)
             self.col_masks[j] &= ~(1 << i)
-            if self.row_words is not None:
-                self.row_words[i][j >> 6] &= ~(1 << (j & 63))
-                self.col_words[j][i >> 6] &= ~(1 << (i & 63))
         return t_generated
 
     def clear(self) -> None:
@@ -141,11 +125,6 @@ class VOQSet:
         # holds direct references to them.
         self.row_masks[:] = [0] * self.n
         self.col_masks[:] = [0] * self.n
-        if self.row_words is not None:
-            for words in self.row_words:
-                words[:] = [0] * len(words)
-            for words in self.col_words:
-                words[:] = [0] * len(words)
 
     def request_matrix(self) -> np.ndarray:
         """Boolean matrix of non-empty VOQs — what the scheduler sees."""

@@ -1,38 +1,26 @@
-"""Bitmask primitives: packing, cyclic selection, k-th set bit —
-single-word and the multi-word (``n > 64``) word-tuple twins."""
+"""Bitmask primitives: packing, cyclic selection, k-th set bit — at
+one machine word and on the wider Python-int masks past 64 ports."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
+from repro.columnar.bitpack import pack_requests
 from repro.fastpath.bitops import (
     WORD_BITS,
     derive_cols,
-    derive_cols_words,
-    full_words,
-    int_to_words,
     next_at_or_after,
-    next_at_or_after_words,
     pack_cols,
-    pack_cols_words,
     pack_rows,
-    pack_rows_words,
-    popcount_words,
     select_kth_bit,
-    select_kth_bit_words,
     unpack_rows,
-    unpack_rows_words,
     word_count,
-    words_to_int,
 )
-from repro.core.base import rotating_argmin
-from repro.fastpath.bitops import rotating_argmin_words
 from tests.conftest import request_matrices
 
-#: The widths that matter for multi-word layout bugs: one bit below,
-#: exactly at, one bit above the 64-bit word boundary, and two words.
+#: The widths that matter for layout bugs at the 64-bit word boundary:
+#: one bit below, exactly at, one bit above it, and two words.
 BOUNDARY_WIDTHS = (63, 64, 65, 128)
 
 
@@ -109,42 +97,41 @@ class TestNextAtOrAfter:
 
 
 class TestMultiWord:
+    """Masks wider than one 64-bit word are plain Python ints: packing,
+    bit placement, cyclic scans and k-th-bit selection past bit 63."""
+
     @pytest.mark.parametrize("n", BOUNDARY_WIDTHS)
     def test_word_count_and_full_words(self, n):
+        # The columnar bitsets split each row into word_count(n) uint64
+        # words; an all-ones row is full words with a partial last one,
+        # and reads back as the full n-bit Python-int mask.
         words = word_count(n)
         assert words == (n + WORD_BITS - 1) // WORD_BITS
-        full = full_words(n)
-        assert len(full) == words
-        assert words_to_int(full) == (1 << n) - 1
-
-    @given(st.integers(1, 200).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
-    def test_int_words_roundtrip(self, case):
-        n, mask = case
-        words = int_to_words(mask, n)
-        assert len(words) == word_count(n)
-        assert all(0 <= w < (1 << WORD_BITS) for w in words)
-        assert words_to_int(words) == mask
-        assert popcount_words(words) == mask.bit_count()
+        packed = pack_requests(np.ones((1, n, n), dtype=bool))[0, 0]
+        assert len(packed) == words
+        assert int.from_bytes(packed.tobytes(), "little") == (1 << n) - 1
+        assert pack_rows(np.ones((n, n), dtype=bool)) == [(1 << n) - 1] * n
 
     @pytest.mark.parametrize("n", BOUNDARY_WIDTHS)
     def test_packing_words_matches_single_word_layout(self, n):
+        # The columnar (R, n, words) uint64 bitsets, each row read as one
+        # little-endian integer, are exactly the Python-int row masks.
         rng = np.random.default_rng(n)
         matrix = rng.random((n, n)) < 0.5
-        rows = pack_rows_words(matrix)
-        assert [words_to_int(r) for r in rows] == pack_rows(matrix)
-        assert [words_to_int(c) for c in pack_cols_words(matrix)] == pack_cols(matrix)
-        assert (unpack_rows_words(rows, n) == matrix).all()
-        assert derive_cols_words(rows, n) == pack_cols_words(matrix)
+        rows = pack_rows(matrix)
+        packed = pack_requests(matrix[None])[0]
+        assert [int.from_bytes(words.tobytes(), "little") for words in packed] == rows
+        assert derive_cols(rows, n) == pack_cols(matrix)
 
     @pytest.mark.parametrize("n", BOUNDARY_WIDTHS)
     def test_bit_j_lives_at_expected_word_and_offset(self, n):
-        # One-hot matrices pin the LSB-first within/across-words layout.
+        # One-hot matrices pin the LSB-first layout across the 64-bit edge.
         for j in sorted({0, WORD_BITS - 1, WORD_BITS, n - 1} & set(range(n))):
             matrix = np.zeros((n, n), dtype=bool)
             matrix[1, j] = True
-            rows = pack_rows_words(matrix)
-            assert rows[1][j >> 6] == 1 << (j & 63)
-            assert sum(sum(r) for r in rows) == 1 << (j & 63)
+            assert pack_rows(matrix) == [0, 1 << j] + [0] * (n - 2)
+            assert pack_cols(matrix)[j] == 1 << 1
+            assert sum(pack_cols(matrix)) == 1 << 1
 
     @given(
         st.integers(2, 200).flatmap(
@@ -155,52 +142,24 @@ class TestMultiWord:
     )
     def test_next_at_or_after_words_matches_single_word(self, case):
         n, mask, start = case
-        words = int_to_words(mask, n)
-        assert next_at_or_after_words(words, start, n) == next_at_or_after(
-            mask, start, n
+        expected = next(
+            (start + k) % n for k in range(n) if mask >> ((start + k) % n) & 1
         )
+        assert next_at_or_after(mask, start, n) == expected
 
     def test_next_at_or_after_words_empty_raises(self):
         with pytest.raises(ValueError):
-            next_at_or_after_words([0, 0], 3, 128)
+            next_at_or_after(0, 3, 128)
 
     @given(st.integers(1, (1 << 130) - 1), st.data())
     def test_select_kth_bit_words_matches_single_word(self, mask, data):
-        k = data.draw(st.integers(0, mask.bit_count() - 1))
-        assert select_kth_bit_words(int_to_words(mask, 130), k) == select_kth_bit(
-            mask, k
-        )
+        indices = [j for j in range(130) if mask >> j & 1]
+        k = data.draw(st.integers(0, len(indices) - 1))
+        assert select_kth_bit(mask, k) == indices[k]
 
     def test_select_kth_bit_words_out_of_range_raises(self):
         with pytest.raises(IndexError):
-            select_kth_bit_words([0b101, 0], 2)
-
-    @given(
-        st.integers(2, 150).flatmap(
-            lambda n: st.tuples(
-                st.just(n),
-                st.integers(0, (1 << n) - 1),
-                st.integers(0, n - 1),
-                st.integers(0, 2**32),
-            )
-        )
-    )
-    def test_rotating_argmin_words_matches_reference(self, case):
-        n, cand_mask, start, key_seed = case
-        rng = np.random.default_rng(key_seed)
-        # Keys in [1, n], like every NRQ/NGT vector the kernels feed in
-        # (the scan's sentinel is n + 1, so larger keys are out of
-        # contract — they could never arise from a choice count).
-        keys = rng.integers(1, n + 1, size=n)
-        candidates = np.array([cand_mask >> i & 1 for i in range(n)], dtype=bool)
-        words = int_to_words(cand_mask, n)
-        actual = rotating_argmin_words(
-            [int(k) for k in keys], words, start, n
-        )
-        if not cand_mask:
-            assert actual == -1
-        else:
-            assert actual == rotating_argmin(keys, candidates, start)
+            select_kth_bit(0b101 | 1 << 100, 3)
 
 
 class TestSelectKthBit:

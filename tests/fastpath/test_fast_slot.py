@@ -25,6 +25,17 @@ from repro.sim.crossbar import InputQueuedSwitch
 from repro.sim.simulator import build_switch, run_simulation
 
 CONFIG = SimConfig(n_ports=4, warmup_slots=10, measure_slots=60, seed=9)
+#: Past 64 ports a request mask no longer fits one machine word; the
+#: fast loop must run there too, on the same kernels.
+WIDE = SimConfig(n_ports=80, warmup_slots=10, measure_slots=40, seed=9)
+
+
+def at_both_widths(names):
+    """``(name, config)`` cases at 4 ports (id ``name``) and at 80
+    (id ``name-n80``)."""
+    return [pytest.param(name, CONFIG, id=name) for name in names] + [
+        pytest.param(name, WIDE, id=f"{name}-n80") for name in names
+    ]
 
 
 class TestEngagement:
@@ -84,14 +95,17 @@ class TestEngagement:
 
     def test_fast_loss_filter_takes_the_fast_loop_with_its_own_kernel(self):
         # FastRequestLossFilter defines schedule_masks on the class, so
-        # the fast loop runs *through* the loss model, never around it.
-        switch = build_switch(
-            CONFIG,
-            "lcf_central_rr",
-            injector=FaultInjector(FaultPlan(request_loss=0.3), 4, seed=1),
-        )
-        assert isinstance(switch.scheduler, FastRequestLossFilter)
-        assert switch._fast_slot
+        # the fast loop runs *through* the loss model, never around it —
+        # at one machine word and past it.
+        for config in (CONFIG, WIDE):
+            n = config.n_ports
+            switch = build_switch(
+                config,
+                "lcf_central_rr",
+                injector=FaultInjector(FaultPlan(request_loss=0.3), n, seed=1),
+            )
+            assert isinstance(switch.scheduler, FastRequestLossFilter), n
+            assert switch._fast_slot, n
 
 
 class TestDefaults:
@@ -132,21 +146,23 @@ def reference_run(*args, **kwargs):
 
 
 class TestRunEquivalence:
-    @pytest.mark.parametrize("name", fast_schedulers())
-    def test_fast_run_is_bit_identical(self, name):
-        reference = reference_run(CONFIG, name, 0.8, collect_percentiles=True)
-        fast = run_simulation(CONFIG, name, 0.8, collect_percentiles=True)
+    @pytest.mark.parametrize("name, config", at_both_widths(fast_schedulers()))
+    def test_fast_run_is_bit_identical(self, name, config):
+        reference = reference_run(config, name, 0.8, collect_percentiles=True)
+        fast = run_simulation(config, name, 0.8, collect_percentiles=True)
         assert reference.row() == fast.row()
 
-    @pytest.mark.parametrize("name", ["lcf_central_rr", "islip", "pim"])
-    def test_request_loss_is_applied_on_the_fast_loop(self, name):
+    @pytest.mark.parametrize(
+        "name, config", at_both_widths(["lcf_central_rr", "islip", "pim"])
+    )
+    def test_request_loss_is_applied_on_the_fast_loop(self, name, config):
         plan = FaultPlan(request_loss=0.3)
-        reference = reference_run(CONFIG, name, 0.9, faults=plan)
-        fast = run_simulation(CONFIG, name, 0.9, faults=plan)
+        reference = reference_run(config, name, 0.9, faults=plan)
+        fast = run_simulation(config, name, 0.9, faults=plan)
         assert reference.row() == fast.row()
         # The loss model must actually bite, or the equality above would
         # also pass with the filter bypassed on both sides.
-        pristine = run_simulation(CONFIG, name, 0.9)
+        pristine = run_simulation(config, name, 0.9)
         assert fast.row() != pristine.row()
 
     def test_fast_run_with_service_matrix_matches(self):

@@ -98,3 +98,23 @@ def test_bad_load_rejected(capsys):
     code, _, stderr = run_cli(capsys, "--load", "1.5")
     assert code == 2
     assert "outside" in stderr
+
+
+@pytest.mark.parametrize(
+    "flag, value, reason",
+    [
+        ("--ports", "0", "n_ports"),
+        ("--slots", "-5", "measure_slots"),
+        ("--warmup", "-1", "warmup_slots"),
+        ("--iterations", "0", "iterations"),
+        ("--scheduler", "nope", "unknown scheduler 'nope'"),
+        ("--traffic", "nope", "unknown traffic pattern 'nope'"),
+    ],
+)
+def test_bad_run_option_rejected_with_one_line(capsys, tmp_path, flag, value, reason):
+    out = tmp_path / "trace.jsonl"
+    code, _, stderr = run_cli(capsys, flag, value, "--out", str(out))
+    assert code == 2
+    assert stderr.startswith("lcf-trace: ") and reason in stderr
+    assert len(stderr.strip().splitlines()) == 1
+    assert not out.exists()

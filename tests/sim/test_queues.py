@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.fastpath.bitops import WORD_BITS, int_to_words, word_count
 from repro.sim.queues import OutputQueue, PacketQueue, VOQSet
 
 
@@ -80,8 +79,9 @@ class TestVOQSet:
 
 
 class TestVOQMasks:
-    """The incremental request bitmasks (and their ``n > 64`` word-tuple
-    twins) must track occupancy exactly through any push/pop sequence."""
+    """The incremental request bitmasks must track occupancy exactly
+    through any push/pop sequence — one Python int per port at every
+    width, so past 64 ports a mask is simply a wider int."""
 
     @staticmethod
     def assert_masks_consistent(voqs: VOQSet):
@@ -93,15 +93,6 @@ class TestVOQMasks:
         for j in range(n):
             expected = sum(1 << i for i in range(n) if matrix[i, j])
             assert voqs.col_masks[j] == expected
-        if n <= WORD_BITS:
-            assert voqs.row_words is None and voqs.col_words is None
-        else:
-            words = word_count(n)
-            for i in range(n):
-                assert len(voqs.row_words[i]) == words
-                assert voqs.row_words[i] == int_to_words(voqs.row_masks[i], n)
-            for j in range(n):
-                assert voqs.col_words[j] == int_to_words(voqs.col_masks[j], n)
 
     @pytest.mark.parametrize("n", [4, 63, 64, 65, 128])
     def test_masks_track_random_push_pop_sequences(self, n):
@@ -126,26 +117,28 @@ class TestVOQMasks:
         self.assert_masks_consistent(voqs)
 
     def test_word_boundary_bits_set_and_clear(self):
-        # Crosspoints straddling the 64-bit edge land in the right word.
-        voqs = VOQSet(65, capacity=2)
-        for j in (63, 64):
-            voqs.push(2, j, 0)
-            assert voqs.row_words[2][j >> 6] >> (j & 63) & 1 == 1
-            assert voqs.col_words[j][0] == 1 << 2
-            voqs.pop(2, j)
-            assert voqs.row_words[2] == [0, 0]
-            assert voqs.col_words[j] == [0, 0]
+        # Crosspoints straddling the 64-bit edge set and clear the right
+        # bit of the row and column masks.
+        voqs = VOQSet(129, capacity=2)
+        for i, j in ((2, 63), (2, 64), (65, 128), (128, 0)):
+            voqs.push(i, j, 0)
+            assert voqs.row_masks[i] == 1 << j
+            assert voqs.col_masks[j] == 1 << i
+            voqs.pop(i, j)
+            assert voqs.row_masks[i] == 0
+            assert voqs.col_masks[j] == 0
 
     def test_masks_ignore_depth_changes_beyond_the_first_packet(self):
         voqs = VOQSet(65, capacity=4)
         voqs.push(0, 64, 0)
-        first = (list(voqs.row_words[0]), list(voqs.col_words[64]))
+        first = (voqs.row_masks[0], voqs.col_masks[64])
+        assert first == (1 << 64, 1)
         voqs.push(0, 64, 1)  # depth 1 -> 2: no mask transition
-        assert (list(voqs.row_words[0]), list(voqs.col_words[64])) == first
+        assert (voqs.row_masks[0], voqs.col_masks[64]) == first
         voqs.pop(0, 64)  # 2 -> 1: still occupied
-        assert (list(voqs.row_words[0]), list(voqs.col_words[64])) == first
+        assert (voqs.row_masks[0], voqs.col_masks[64]) == first
         voqs.pop(0, 64)  # 1 -> 0: clears
-        assert voqs.row_words[0] == [0, 0] and voqs.col_words[64] == [0, 0]
+        assert voqs.row_masks[0] == 0 and voqs.col_masks[64] == 0
 
 
 class TestOutputQueue:

@@ -6,7 +6,7 @@ Runs ``lcf_dist`` and ``lcf_dist_rr`` over a lossy control channel
 loss in {0.05, 0.3}, each once untraced (the fast slot loop) and once
 with a JSONL tracer (the instrumented loop), and prints one line per
 run: the sha256 of ``SimResult.row()`` and, for traced runs, of the
-JSONL trace file. n = 80 exercises the multi-word (n > 64) path.
+JSONL trace file. n = 80 exercises masks wider than one 64-bit word.
 
 Usage::
 
