@@ -55,11 +55,32 @@ def probe(name: str, n: int, cycles: int | None, adversarial: bool):
     return starvation_report(scheduler, cycles=cycles, requests=requests)
 
 
+def _input_error(args) -> str | None:
+    """What is wrong with the parsed arguments, or ``None``."""
+    if args.ports < 1:
+        return f"--ports must be >= 1, got {args.ports}"
+    if args.adversarial and args.ports < 3:
+        return f"--adversarial needs --ports >= 3, got {args.ports}"
+    if args.cycles is not None and args.cycles < 1:
+        return f"--cycles must be >= 1, got {args.cycles}"
+    if args.all:
+        return None
+    if args.scheduler == "fifo":
+        return "fifo has no request-matrix interface; pick a VOQ scheduler"
+    if args.scheduler not in available_schedulers():
+        return (
+            f"unknown scheduler {args.scheduler!r}; "
+            f"available: {', '.join(available_schedulers())}"
+        )
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.scheduler == "fifo":
-        print("fifo has no request-matrix interface; pick a VOQ scheduler",
-              file=sys.stderr)
+    # Bad input exits 2 with one line (1 means "a pair starved").
+    error = _input_error(args)
+    if error is not None:
+        print(f"lcf-fairness: {error}", file=sys.stderr)
         return 2
     names = DEFAULT_SET if args.all else (args.scheduler,)
 

@@ -10,8 +10,8 @@ uninterrupted run:
   watermarks);
 * the **component state** — the traffic pattern (including its PCG64
   stream position), the switch and everything hanging off it
-  (scheduler pointers and tie-break chains, VOQ/PQ contents, Welford
-  accumulators, adaptive-estimator arrays, admission counters),
+  (scheduler pointers and tie-break chains, VOQ/PQ contents, delay
+  histograms, adaptive-estimator arrays, admission counters),
   captured by :mod:`repro.checkpoint.state`;
 * the **instrument values** of the metrics registry, restored into
   fresh instruments in place;
@@ -244,7 +244,6 @@ def resume_simulation(
         config,
         run["scheduler"],
         collect_service=run["collect_service"],
-        collect_latencies=run["collect_percentiles"],
         seed=config.seed,
         tracer=tracer,
         metrics=metrics,

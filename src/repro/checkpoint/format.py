@@ -4,7 +4,7 @@ A checkpoint file is one JSON document::
 
     {
       "format": "repro-checkpoint",
-      "version": 3,
+      "version": 4,
       "checksum": "<sha256 of the canonical payload JSON>",
       "payload": { ... }
     }
@@ -49,7 +49,12 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 #: ``DelayHistogram`` (version 1 carried P² quantile markers).
 #: Version 3: run specs no longer carry a ``fast`` flag (the scheduler
 #: implementation is chosen by the build, not recorded per run).
-CHECKPOINT_VERSION = 3
+#: Version 4: every latency accumulator is an exact ``DelayHistogram``
+#: (version 3 carried floating-point running moments and per-packet
+#: sample lists). A version-3 switch's latency state does not fit a
+#: histogram, so version-3 files are refused up front like every other
+#: version rather than failing midway through a restore.
+CHECKPOINT_VERSION = 4
 
 
 class CheckpointError(Exception):

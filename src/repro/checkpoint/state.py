@@ -1,8 +1,8 @@
 """Generic component-state capture and restore.
 
 The simulation's mutable state lives in plain attribute dicts:
-scheduler pointers, VOQ deques, PCG64 generators, Welford accumulators,
-delay-histogram counts, health-estimator arrays. :func:`snapshot_state`
+scheduler pointers, VOQ deques, PCG64 generators, delay-histogram
+counts, health-estimator arrays. :func:`snapshot_state`
 walks ``vars(obj)`` (extended to ``__slots__``-backed classes) and
 encodes every value into tagged, deterministic
 JSON; :func:`restore_state` decodes it back *onto a freshly constructed

@@ -15,7 +15,7 @@ Layers:
   replicate to the serial schedulers including tie-breaks and pointer
   state.
 * :mod:`repro.columnar.engine` — the batched PQ/VOQ slot pipeline with
-  per-replicate RNG streams and exact-order Welford statistics replay.
+  per-replicate RNG streams and per-replicate delay histograms.
 * :mod:`repro.columnar.run` — :func:`run_replicates`, the entry point
   that picks columnar / switch-reuse serial / plain serial per
   configuration and block size (:func:`~repro.columnar.run.runs_columnar`,

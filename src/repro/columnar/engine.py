@@ -10,7 +10,7 @@ scheduling stage itself is a :mod:`repro.columnar.kernels` batched
 kernel.
 
 **Bit-identity contract.** Per replicate, every statistic the engine
-produces — Welford latency moments, min/max, percentile samples,
+produces — the delay histogram and every latency field read off it,
 offered/forwarded/dropped counters, service counts, and the traffic
 generator's end-of-run RNG position — is identical to running the
 serial :func:`repro.sim.simulator.run_simulation` with that replicate's
@@ -18,10 +18,9 @@ seed. Two design points make this exact rather than approximate:
 
 * each replicate owns its serial :class:`~repro.traffic.TrafficPattern`
   instance, called once per slot, so the RNG sample path cannot differ;
-* latency statistics are *replayed* into per-replicate Welford
-  accumulators in the serial order (slot-major, input-ascending) —
-  Welford is sequential in floating point, so the engine defers the
-  scalar recurrence to batched flushes instead of changing it.
+* latency is a histogram of integer delays, and counting does not
+  depend on order: the engine logs each slot's delays and adds them to
+  per-replicate counts with one ``np.bincount`` per batched flush.
 
 Queue buffers start shallow and double on demand up to the configured
 capacities; if the projected allocation exceeds ``max_bytes`` the
@@ -39,15 +38,15 @@ import numpy as np
 from repro.columnar.bitpack import pack_requests
 from repro.columnar.kernels import ColumnarKernel, make_columnar_kernel
 from repro.sim.config import SimConfig
-from repro.sim.metrics import OnlineStats, latency_percentiles
-from repro.sim.simulator import SimResult
+from repro.obs.estimators import DelayHistogram
+from repro.sim.simulator import SimResult, latency_fields
 from repro.traffic.base import NO_ARRIVAL, make_traffic
 from repro.types import NO_GRANT
 
 #: Default ceiling on the engine's large buffer allocations (bytes).
 DEFAULT_MAX_BYTES = 2 * 1024**3
 
-#: Flush the deferred latency chunks after roughly this many samples.
+#: Flush the deferred delay chunks after roughly this many samples.
 _FLUSH_SAMPLES = 1 << 16
 
 #: Initial circular-buffer depths (packets); doubled on demand.
@@ -140,10 +139,8 @@ class ColumnarEngine:
 
         self._offered = np.zeros(reps, dtype=np.int64)
         self._forwarded = np.zeros(reps, dtype=np.int64)
-        self._stats = [OnlineStats() for _ in range(reps)]
-        self._samples: list[list[np.ndarray]] | None = (
-            [[] for _ in range(reps)] if collect_percentiles else None
-        )
+        #: Per-replicate delay counts, widened on demand at flushes.
+        self._delays = np.zeros((reps, 0), dtype=np.int64)
         if collect_service:
             self._svc = np.zeros((reps, n, n), dtype=np.int64)
             self._svc_flat = self._svc.reshape(-1)
@@ -151,8 +148,8 @@ class ColumnarEngine:
         else:
             self._svc = None
 
-        # Deferred Welford replay: per-slot (delay values, flat r*n+i
-        # positions) chunks, flushed in serial order per replicate.
+        # Deferred delay counting: per-slot (delay values, flat r*n+i
+        # positions) chunks, added to ``_delays`` at each flush.
         self._chunk_vals: list[np.ndarray] = []
         self._chunk_flat: list[np.ndarray] = []
         self._chunk_count = 0
@@ -271,7 +268,7 @@ class ColumnarEngine:
         grants = self.kernel.schedule_batch(self._reqT)
 
         # 4. Forwarding: pop matched VOQ heads, clear emptied request
-        #    bits, log latencies for the deferred Welford replay.
+        #    bits, log delays for the deferred count.
         gm = grants != NO_GRANT
         g0 = np.where(gm, grants, 0)
         vcell = self._vq_base + g0
@@ -298,9 +295,8 @@ class ColumnarEngine:
                 self._svc_flat[(self._svc_base + g0)[gm]] += 1
 
     def _flush(self) -> None:
-        """Replay the deferred latency chunks into the per-replicate
-        Welford accumulators, in exact serial order (slot-major within
-        each replicate, input-ascending within each slot)."""
+        """Add the deferred delay chunks to the per-replicate counts with
+        one ``np.bincount`` over ``replicate * width + delay``."""
         if not self._chunk_count:
             return
         vals = np.concatenate(self._chunk_vals)
@@ -308,65 +304,33 @@ class ColumnarEngine:
         self._chunk_vals.clear()
         self._chunk_flat.clear()
         self._chunk_count = 0
-        for r in range(self._reps):
-            mine = vals[reps == r]
-            if not mine.size:
-                continue
-            if self._samples is not None:
-                self._samples[r].append(mine)
-            stats = self._stats[r]
-            count = stats.count
-            mean = stats._mean
-            m2 = stats._m2
-            lo = stats.min
-            hi = stats.max
-            # The serial OnlineStats.add recurrence on Python ints, one
-            # sample at a time — sequential on purpose: Welford is not
-            # reorderable in floating point.
-            for value in mine.tolist():
-                count += 1
-                delta = value - mean
-                mean += delta / count
-                m2 += delta * (value - mean)
-                if value < lo:
-                    lo = value
-                if value > hi:
-                    hi = value
-            stats.count = count
-            stats._mean = mean
-            stats._m2 = m2
-            stats.min = lo
-            stats.max = hi
+        width = max(self._delays.shape[1], int(vals.max()) + 1)
+        if width > self._delays.shape[1]:
+            grown = np.zeros((self._reps, width), dtype=np.int64)
+            grown[:, : self._delays.shape[1]] = self._delays
+            self._delays = grown
+        self._delays += np.bincount(
+            reps * width + vals, minlength=self._reps * width
+        ).reshape(self._reps, width)
 
     def _package(self, r: int) -> SimResult:
         """Mirror of the serial ``_package_result`` for one replicate."""
         config = self.config.with_(seed=self.seeds[r])
-        stats = self._stats[r]
-        if self.collect_percentiles:
-            chunks = self._samples[r]
-            samples = (
-                np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-            )
-            percentiles = latency_percentiles(samples)
-        else:
-            percentiles = {}
+        delays = DelayHistogram(np.trim_zeros(self._delays[r], "b").tolist())
         port_slots = config.n_ports * config.measure_slots
         forwarded = int(self._forwarded[r])
         return SimResult(
             scheduler=self.scheduler_name,
             load=self.load,
             config=config,
-            mean_latency=stats.mean,
-            std_latency=stats.std,
-            min_latency=stats.min if stats.count else math.nan,
-            max_latency=stats.max if stats.count else math.nan,
+            **latency_fields(delays, self.collect_percentiles),
             offered=int(self._offered[r]),
             forwarded=forwarded,
             dropped=int(self._pq_dropped[r].sum()),
             throughput=forwarded / port_slots if port_slots else math.nan,
-            percentiles=percentiles,
             service_counts=self._svc[r].copy() if self._svc is not None else None,
             shed=0,
+            delays=delays,
         )
 
     def run(self) -> list[SimResult]:

@@ -165,10 +165,7 @@ def _run_serial(
         )
         if switch is None:
             switch = InputQueuedSwitch(
-                cfg,
-                scheduler,
-                collect_service=collect_service,
-                collect_latencies=collect_percentiles,
+                cfg, scheduler, collect_service=collect_service
             )
         else:
             switch.reset_run(scheduler)

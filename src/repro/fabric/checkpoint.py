@@ -131,7 +131,6 @@ def resume_fabric(
             spec,
             shard_id,
             shards,
-            collect_percentiles=run["collect_percentiles"],
             collect_flows=run["collect_flows"],
             tracing=run["tracing"],
         )

@@ -28,8 +28,8 @@ store (``(src, dst, generation slot)``) instead of raw timestamps; the
 ``forward_sink`` hook resolves each departure against the store, so
 delay and loss are measured source NIC to sink NIC, never per hop.
 Stage switches run with ``measuring`` off — the engine owns all
-statistics, accumulated per egress switch and merged in canonical
-switch order.
+statistics, accumulated per egress switch in exact delay histograms
+and merged by adding their counts.
 
 **Sharding.** :class:`FabricShard` is *both* the serial reference and
 the unit of parallel execution: ``shards=1`` is a single shard owning
@@ -56,10 +56,10 @@ from repro.fabric.spec import FabricSpec
 from repro.faults.injector import FaultInjector, hash_u64
 from repro.faults.plan import FaultPlan
 from repro.obs import events as ev
+from repro.obs.estimators import DelayHistogram
 from repro.obs.tracer import Tracer, effective_tracer
 from repro.sim.crossbar import InputQueuedSwitch
-from repro.sim.metrics import OnlineStats, latency_percentiles
-from repro.sim.simulator import make_crossbar_scheduler
+from repro.sim.simulator import latency_fields, make_crossbar_scheduler
 from repro.traffic.base import NO_ARRIVAL, make_traffic
 
 __all__ = ["FabricResult", "FabricShard", "run_fabric"]
@@ -234,7 +234,6 @@ class FabricShard:
         shard_id: int = 0,
         n_shards: int = 1,
         *,
-        collect_percentiles: bool = False,
         collect_flows: bool = False,
         tracing: bool = False,
         offline_routing=None,
@@ -242,7 +241,6 @@ class FabricShard:
         self.spec = spec
         self.shard_id = shard_id
         self.n_shards = n_shards
-        self.collect_percentiles = collect_percentiles
         self.collect_flows = collect_flows
         self.tracing = tracing
 
@@ -300,8 +298,7 @@ class FabricShard:
         #: well-behaved schedulers).
         self.backpressure_slots = 0
         self.stage_forwards = [0] * spec.stages
-        self._egress_stats: dict[int, OnlineStats] = {}
-        self._egress_samples: dict[int, list[int]] = {}
+        self._egress_delays: dict[int, DelayHistogram] = {}
         self._flow_counts = (
             np.zeros((spec.n_ports, spec.n_ports), dtype=np.int64)
             if collect_flows
@@ -330,9 +327,7 @@ class FabricShard:
             self._build_switch(coord, fault_plans.get(coord),
                                adapt_specs.get(coord))
             if coord[0] == self.last_stage:
-                self._egress_stats[coord[1]] = OnlineStats()
-                if collect_percentiles:
-                    self._egress_samples[coord[1]] = []
+                self._egress_delays[coord[1]] = DelayHistogram()
 
     # -- construction -------------------------------------------------------
 
@@ -434,10 +429,7 @@ class FabricShard:
             self.delivered += 1
             if slot >= self._warmup:
                 self.forwarded += 1
-                self._egress_stats[index].add(delay)
-                samples = self._egress_samples.get(index)
-                if samples is not None:
-                    samples.append(delay)
+                self._egress_delays[index].add(delay)
                 if self._flow_counts is not None:
                     src, dst = store.src[tag], store.dst[tag]
                     self._flow_counts[src, dst] += 1
@@ -590,8 +582,7 @@ class FabricShard:
         """Everything the merge step needs, picklable for the process
         backend."""
         return {
-            "egress_stats": dict(self._egress_stats),
-            "egress_samples": dict(self._egress_samples),
+            "egress_delays": dict(self._egress_delays),
             "offered": self.offered,
             "forwarded": self.forwarded,
             "generated": self.generated,
@@ -667,31 +658,16 @@ def _merge_harvests(
 ) -> FabricResult:
     """Fold shard harvests into one result, in canonical switch order.
 
-    The fold order is fixed (egress index ascending, events by
-    ``(slot, stage, index, emission order)``) and identical whether one
-    shard or many produced the pieces — this is where bit-identity
-    across shard counts is decided, so nothing here may depend on shard
-    boundaries.
+    The per-egress delay histograms add counts, which no fold order can
+    change; trace events fold in a fixed order (``(slot, stage, index,
+    emission order)``), identical whether one shard or many produced
+    them — this is where bit-identity across shard counts is decided,
+    so nothing here may depend on shard boundaries.
     """
-    egress_stats: dict[int, OnlineStats] = {}
-    egress_samples: dict[int, list[int]] = {}
+    delays = DelayHistogram()
     for harvest in harvests:
-        egress_stats.update(harvest["egress_stats"])
-        egress_samples.update(harvest["egress_samples"])
-
-    stats = None
-    for index in sorted(egress_stats):
-        shard_stats = egress_stats[index]
-        stats = shard_stats if stats is None else stats.merge(shard_stats)
-    if stats is None:
-        stats = OnlineStats()
-
-    percentiles: dict[float, float] = {}
-    if collect_percentiles:
-        samples: list[int] = []
-        for index in sorted(egress_samples):
-            samples.extend(egress_samples[index])
-        percentiles = latency_percentiles(np.asarray(samples))
+        for egress in harvest["egress_delays"].values():
+            delays.merge(egress)
 
     if tracer is not None:
         events: list[tuple[int, int, int, int, dict]] = []
@@ -726,10 +702,7 @@ def _merge_harvests(
     port_slots = spec.n_ports * spec.config.measure_slots
     return FabricResult(
         spec=spec,
-        mean_latency=stats.mean,
-        std_latency=stats.std,
-        min_latency=stats.min if stats.count else math.nan,
-        max_latency=stats.max if stats.count else math.nan,
+        **latency_fields(delays, collect_percentiles),
         offered=total("offered"),
         forwarded=forwarded,
         dropped=total("dropped"),
@@ -743,7 +716,6 @@ def _merge_harvests(
         recovery_events=total("recovery_events"),
         degraded_slots=total("degraded_slots"),
         stage_forwards=tuple(stage_forwards),
-        percentiles=percentiles,
         flow_counts=flow_counts,
         flow_delay=flow_delay,
     )
@@ -901,7 +873,6 @@ def run_fabric(
 
     total_slots = spec.config.total_slots
     shard_kwargs = dict(
-        collect_percentiles=collect_percentiles,
         collect_flows=collect_flows,
         tracing=tracing,
         offline_routing=offline_routing,

@@ -14,6 +14,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -45,8 +46,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_error(args) -> str | None:
+    """What is wrong with the parsed arguments, or ``None``."""
+    if args.ports < 1:
+        return f"--ports must be >= 1, got {args.ports}"
+    if not (args.clock_mhz > 0 and math.isfinite(args.clock_mhz)):
+        return f"--clock-mhz must be a finite number > 0, got {args.clock_mhz:g}"
+    if args.iterations < 1:
+        return f"--iterations must be >= 1, got {args.iterations}"
+    if args.rtl_cycles < 1:
+        return f"--rtl-cycles must be >= 1, got {args.rtl_cycles}"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Bad input exits 2 with one line (1 means "RTL mismatch").
+    error = _input_error(args)
+    if error is not None:
+        print(f"lcf-hw: {error}", file=sys.stderr)
+        return 2
     n = args.ports
 
     print(f"Table 1 — gate/register counts (n={n}):")

@@ -16,8 +16,11 @@ actually needs:
 * :class:`DelayHistogram` — packet delays are small non-negative
   integers, so one count per delay value holds the whole distribution
   in O(max delay) memory: O(1) per observation, mergeable across runs,
-  and its percentiles are *exact* — equal to ``np.percentile`` over the
-  stored samples (property-tested in ``tests/obs/test_estimators.py``).
+  and every summary of it is *exact* — mean and variance from integer
+  sums, percentiles equal to ``np.percentile`` over the samples
+  (property-tested in ``tests/obs/test_estimators.py``). It is also
+  every switch model's latency accumulator, and a
+  :class:`~repro.sim.simulator.SimResult` carries one as ``delays``.
 
 Both are pure Python/numpy state machines with no export opinion; the
 switch wires them into its :class:`~repro.obs.metrics.MetricsRegistry`
@@ -30,6 +33,7 @@ import bisect
 import functools
 import itertools
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -143,16 +147,33 @@ class DelayHistogram:
     on demand, so memory is O(largest sample), never O(samples), and an
     observation is one list increment. Two histograms :meth:`merge` by
     adding counts — the same distribution as one histogram fed both
-    streams. :meth:`percentiles` reads order statistics off the
-    cumulative counts with ``np.percentile``'s default ("linear")
-    interpolation, so the result equals ``np.percentile`` over the
-    samples themselves, bit for bit.
+    streams, in any order.
+
+    Every summary is read off the counts, exactly. :attr:`mean` and
+    :attr:`variance` come from the integer sums ``S = Σd`` and
+    ``Q = Σd²`` with one correctly rounded division each — ``S / N`` and
+    ``(N·Q − S²) / (N·(N − 1))`` (sample variance, ddof=1) — so they
+    equal ``statistics.fmean`` and ``statistics.variance`` of the
+    samples bit for bit. :attr:`min` and :attr:`max` are ints.
+    :meth:`percentiles` reads order statistics off the cumulative counts
+    with ``np.percentile``'s default ("linear") interpolation, so the
+    result equals ``np.percentile`` over the samples themselves. Every
+    summary of an empty histogram is NaN (and the variance of a single
+    sample).
+
+    >>> histogram = DelayHistogram()
+    >>> for delay in (2, 4, 6):
+    ...     histogram.add(delay)
+    >>> histogram.count, histogram.mean, histogram.variance
+    (3, 4.0, 4.0)
+    >>> histogram.min, histogram.max
+    (2, 6)
     """
 
     DEFAULT_PERCENTILES = (50.0, 90.0, 99.0)
 
-    def __init__(self) -> None:
-        self.counts: list[int] = []
+    def __init__(self, counts: Iterable[int] = ()) -> None:
+        self.counts: list[int] = list(counts)
 
     @property
     def count(self) -> int:
@@ -177,12 +198,48 @@ class DelayHistogram:
         for value, times in enumerate(other.counts):
             counts[value] += times
 
+    def _sums(self) -> tuple[int, int, int]:
+        """``(N, S, Q)``: the sample count, ``Σd`` and ``Σd²``."""
+        n = s = q = 0
+        for value, times in enumerate(self.counts):
+            n += times
+            s += value * times
+            q += value * value * times
+        return n, s, q
+
+    @property
+    def mean(self) -> float:
+        """``S / N``; NaN when empty."""
+        n, s, _ = self._sums()
+        return s / n if n else math.nan
+
+    @property
+    def variance(self) -> float:
+        """Sample variance (ddof=1); NaN with fewer than two samples."""
+        n, s, q = self._sums()
+        return (n * q - s * s) / (n * (n - 1)) if n > 1 else math.nan
+
+    @property
+    def std(self) -> float:
+        return math.sqrt(self.variance)
+
+    @property
+    def min(self) -> int | float:
+        """The smallest sample; NaN when empty."""
+        return next((v for v, times in enumerate(self.counts) if times), math.nan)
+
+    @property
+    def max(self) -> int | float:
+        """The largest sample; NaN when empty."""
+        counts = self.counts
+        return next((v for v in reversed(range(len(counts))) if counts[v]), math.nan)
+
     def percentiles(
         self, percentiles: tuple[float, ...] = DEFAULT_PERCENTILES
     ) -> dict[float, float]:
         """``{p: value}`` for each percentile ``p`` in [0, 100]; NaN when
-        empty — the same values :func:`repro.sim.metrics.latency_percentiles`
-        returns for the stored samples."""
+        empty — the same values ``np.percentile`` returns for the
+        samples."""
         cumulative = list(itertools.accumulate(self.counts))
         total = cumulative[-1] if cumulative else 0
         if not total:

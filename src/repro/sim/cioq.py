@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import Scheduler
+from repro.obs.estimators import DelayHistogram
 from repro.sim.config import SimConfig
-from repro.sim.metrics import OnlineStats
 from repro.sim.queues import OutputQueue, PacketQueue, VOQSet
 from repro.traffic.base import NO_ARRIVAL
 from repro.types import NO_GRANT
@@ -43,7 +43,7 @@ class CIOQSwitch:
         self.voqs = VOQSet(n, config.voq_capacity)
         self.out_queues = [OutputQueue(config.outbuf_capacity) for _ in range(n)]
 
-        self.latency = OnlineStats()
+        self.latency = DelayHistogram()
         self.offered = 0
         self.forwarded = 0
         self.measuring = False

@@ -60,7 +60,7 @@ from repro.obs.estimators import DelayHistogram, RateEstimator
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer, effective_tracer
 from repro.sim.config import SimConfig
-from repro.sim.metrics import OnlineStats, ServiceMatrix
+from repro.sim.metrics import ServiceMatrix
 from repro.sim.queues import PacketQueue, VOQSet
 from repro.traffic.base import NO_ARRIVAL
 from repro.types import NO_GRANT
@@ -74,7 +74,6 @@ class InputQueuedSwitch:
         config: SimConfig,
         scheduler: Scheduler,
         collect_service: bool = False,
-        collect_latencies: bool = False,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         injector: FaultInjector | None = None,
@@ -93,12 +92,11 @@ class InputQueuedSwitch:
         self.pqs = [PacketQueue(config.pq_capacity) for _ in range(n)]
         self.voqs = VOQSet(n, config.voq_capacity)
 
-        self.latency = OnlineStats()
+        self.latency = DelayHistogram()
         self.offered = 0  # packets generated during measurement
         self.forwarded = 0  # packets departed during measurement
         self.measuring = False
         self.service = ServiceMatrix(n) if collect_service else None
-        self.latency_samples: list[int] | None = [] if collect_latencies else None
 
         # A disabled tracer resolves to None here, so the hot loop's only
         # disabled-path cost is the `is not None` guards below.
@@ -253,14 +251,12 @@ class InputQueuedSwitch:
         for pq in self.pqs:
             pq.clear()
         self.voqs.clear()
-        self.latency = OnlineStats()
+        self.latency = DelayHistogram()
         self.offered = 0
         self.forwarded = 0
         self.measuring = False
         if self.service is not None:
             self.service = ServiceMatrix(self.n)
-        if self.latency_samples is not None:
-            self.latency_samples = []
 
     @property
     def n(self) -> int:
@@ -406,8 +402,6 @@ class InputQueuedSwitch:
             if self.measuring:
                 self.forwarded += 1
                 self.latency.add(delay)
-                if self.latency_samples is not None:
-                    self.latency_samples.append(delay)
             if observing:
                 self._record_forward(slot, i, int(j), delay)
         if self.measuring and self.service is not None:
@@ -459,7 +453,6 @@ class InputQueuedSwitch:
         kernel = scheduler.schedule_masks
         rows, cols = voqs.row_masks, voqs.col_masks
         latency_add = self.latency.add
-        samples = self.latency_samples
         service = self.service if measuring else None
         metered = self.metrics is not None
         if metered:
@@ -511,8 +504,6 @@ class InputQueuedSwitch:
                 forwarded += 1
                 if measuring:
                     latency_add(delay)
-                    if samples is not None:
-                        samples.append(delay)
                 if metered:
                     rate_observe(i, j, slot)
                     delay_add(delay)

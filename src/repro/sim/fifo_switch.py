@@ -15,8 +15,8 @@ from collections import deque
 import numpy as np
 
 from repro.baselines.fifo import FIFOScheduler
+from repro.obs.estimators import DelayHistogram
 from repro.sim.config import SimConfig
-from repro.sim.metrics import OnlineStats
 from repro.sim.queues import PacketQueue
 from repro.traffic.base import NO_ARRIVAL
 from repro.types import NO_GRANT
@@ -25,7 +25,7 @@ from repro.types import NO_GRANT
 class FIFOSwitch:
     """Input-queued switch with one FIFO per input and RR arbitration."""
 
-    def __init__(self, config: SimConfig, collect_latencies: bool = False):
+    def __init__(self, config: SimConfig):
         self.config = config
         n = config.n_ports
         self.scheduler = FIFOScheduler(n)
@@ -33,11 +33,10 @@ class FIFOSwitch:
         self.fifos: list[deque[tuple[int, int]]] = [deque() for _ in range(n)]
         self.fifo_capacity = config.voq_capacity
 
-        self.latency = OnlineStats()
+        self.latency = DelayHistogram()
         self.offered = 0
         self.forwarded = 0
         self.measuring = False
-        self.latency_samples: list[int] | None = [] if collect_latencies else None
 
     @property
     def n(self) -> int:
@@ -79,8 +78,5 @@ class FIFOSwitch:
             _, t_generated = self.fifos[i].popleft()
             if self.measuring:
                 self.forwarded += 1
-                delay = slot - t_generated + 1
-                self.latency.add(delay)
-                if self.latency_samples is not None:
-                    self.latency_samples.append(delay)
+                self.latency.add(slot - t_generated + 1)
         return schedule

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.multicast import MulticastCell, MulticastQueue, MulticastScheduler
-from repro.sim.metrics import OnlineStats
+from repro.obs.estimators import DelayHistogram
 from repro.types import NO_GRANT
 
 
@@ -62,7 +62,7 @@ class MulticastSwitch:
         self.scheduler = MulticastScheduler(n, policy=policy, seed=seed)
         self.queues = [MulticastQueue(queue_capacity) for _ in range(n)]
 
-        self.completion_latency = OnlineStats()
+        self.completion_latency = DelayHistogram()
         self.copies_delivered = 0
         self.cells_completed = 0
         self.cells_offered = 0

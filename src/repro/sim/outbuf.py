@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.obs.estimators import DelayHistogram
 from repro.sim.config import SimConfig
-from repro.sim.metrics import OnlineStats
 from repro.sim.queues import OutputQueue
 from repro.traffic.base import NO_ARRIVAL
 
@@ -22,16 +22,15 @@ from repro.traffic.base import NO_ARRIVAL
 class OutputBufferedSwitch:
     """Ideal output-queued switch with finite output buffers."""
 
-    def __init__(self, config: SimConfig, collect_latencies: bool = False):
+    def __init__(self, config: SimConfig):
         self.config = config
         n = config.n_ports
         self.queues = [OutputQueue(config.outbuf_capacity) for _ in range(n)]
 
-        self.latency = OnlineStats()
+        self.latency = DelayHistogram()
         self.offered = 0
         self.forwarded = 0
         self.measuring = False
-        self.latency_samples: list[int] | None = [] if collect_latencies else None
 
     @property
     def n(self) -> int:
@@ -63,8 +62,5 @@ class OutputBufferedSwitch:
             served[j] = t_generated
             if self.measuring:
                 self.forwarded += 1
-                delay = slot - t_generated + 1
-                self.latency.add(delay)
-                if self.latency_samples is not None:
-                    self.latency_samples.append(delay)
+                self.latency.add(slot - t_generated + 1)
         return served

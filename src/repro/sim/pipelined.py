@@ -25,8 +25,8 @@ from collections import deque
 import numpy as np
 
 from repro.core.base import Scheduler
+from repro.obs.estimators import DelayHistogram
 from repro.sim.config import SimConfig
-from repro.sim.metrics import OnlineStats
 from repro.sim.queues import PacketQueue, VOQSet
 from repro.traffic.base import NO_ARRIVAL
 from repro.types import NO_GRANT
@@ -57,7 +57,7 @@ class PipelinedSwitch:
             [np.full(n, NO_GRANT, dtype=np.int64) for _ in range(pipeline_depth)]
         )
 
-        self.latency = OnlineStats()
+        self.latency = DelayHistogram()
         self.offered = 0
         self.forwarded = 0
         self.measuring = False

@@ -19,13 +19,13 @@ from repro.core.base import IterativeScheduler, Scheduler
 from repro.fastpath.registry import make_fast_scheduler, uses_fast_kernel
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
+from repro.obs.estimators import DelayHistogram
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.sim.admission import make_admission
 from repro.sim.config import SimConfig
 from repro.sim.crossbar import InputQueuedSwitch
 from repro.sim.fifo_switch import FIFOSwitch
-from repro.sim.metrics import latency_percentiles
 from repro.sim.outbuf import OutputBufferedSwitch
 from repro.traffic.base import TrafficPattern, make_traffic
 
@@ -56,6 +56,10 @@ class SimResult:
     service_counts: np.ndarray | None = None
     #: Arrivals discarded by admission control (0 when none attached).
     shed: int = 0
+    #: The measurement window's exact delay histogram, which every
+    #: latency field above is read from; merging results adds these.
+    #: Not part of ``row()`` or ``==``.
+    delays: DelayHistogram | None = field(default=None, compare=False, repr=False)
 
     @property
     def loss_rate(self) -> float:
@@ -93,6 +97,18 @@ class SimResult:
         return row
 
 
+def latency_fields(delays: DelayHistogram, percentiles: bool) -> dict:
+    """The :class:`SimResult` latency fields read off a delay histogram
+    (``percentiles`` stays empty unless asked for)."""
+    return {
+        "mean_latency": delays.mean,
+        "std_latency": delays.std,
+        "min_latency": delays.min,
+        "max_latency": delays.max,
+        "percentiles": delays.percentiles() if percentiles else {},
+    }
+
+
 def make_crossbar_scheduler(
     name: str,
     n: int,
@@ -125,7 +141,6 @@ def build_switch(
     config: SimConfig,
     scheduler_name: str,
     collect_service: bool = False,
-    collect_latencies: bool = False,
     seed: int = 0,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
@@ -173,8 +188,8 @@ def build_switch(
                 f"{scheduler_name!r} switch model"
             )
         if scheduler_name == "outbuf":
-            return OutputBufferedSwitch(config, collect_latencies=collect_latencies)
-        return FIFOSwitch(config, collect_latencies=collect_latencies)
+            return OutputBufferedSwitch(config)
+        return FIFOSwitch(config)
     scheduler = make_crossbar_scheduler(
         scheduler_name,
         config.n_ports,
@@ -186,7 +201,6 @@ def build_switch(
         config,
         scheduler,
         collect_service=collect_service,
-        collect_latencies=collect_latencies,
         tracer=tracer,
         metrics=metrics,
         injector=injector,
@@ -260,12 +274,7 @@ def _package_result(
     collect_percentiles: bool,
 ) -> SimResult:
     """Package a driven switch's statistics into a :class:`SimResult`."""
-    stats = switch.latency
-    percentiles = (
-        latency_percentiles(np.asarray(switch.latency_samples))
-        if collect_percentiles
-        else {}
-    )
+    delays = DelayHistogram(switch.latency.counts)
     service = getattr(switch, "service", None)
     admission = getattr(switch, "admission", None)
     # A warmup-only run (measure_slots=0) measures nothing: throughput
@@ -275,17 +284,14 @@ def _package_result(
         scheduler=scheduler_name,
         load=load,
         config=config,
-        mean_latency=stats.mean,
-        std_latency=stats.std,
-        min_latency=stats.min if stats.count else math.nan,
-        max_latency=stats.max if stats.count else math.nan,
+        **latency_fields(delays, collect_percentiles),
         offered=switch.offered,
         forwarded=switch.forwarded,
         dropped=switch.dropped,
         throughput=switch.forwarded / port_slots if port_slots else math.nan,
-        percentiles=percentiles,
         service_counts=service.counts.copy() if service is not None else None,
         shed=admission.shed_packets if admission is not None else 0,
+        delays=delays,
     )
 
 
@@ -462,7 +468,6 @@ def run_simulation(
         config,
         scheduler_name,
         collect_service=collect_service,
-        collect_latencies=collect_percentiles,
         seed=config.seed,
         tracer=tracer,
         metrics=metrics,

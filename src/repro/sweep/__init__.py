@@ -14,16 +14,17 @@ package turns that observation into infrastructure:
 * :mod:`repro.sweep.cache` — :class:`ResultCache`, an on-disk JSON
   store keyed by a stable hash of ``SimConfig`` + point, so
   interrupted sweeps resume without recomputation;
-* :mod:`repro.sweep.merge` — replicate shards are combined with
-  :meth:`repro.sim.metrics.OnlineStats.merge` (Chan et al. pooled
-  mean/variance) into a single merged :class:`~repro.sim.simulator.SimResult`.
+* :mod:`repro.sweep.merge` — replicate shards are combined into a
+  single merged :class:`~repro.sim.simulator.SimResult` by adding their
+  exact delay histograms, so merged latency statistics (percentiles
+  included) equal those of one run over every shard's packets.
 
 The Figure 12 presentation layer (:mod:`repro.analysis.sweep`) is a
 thin client of this engine.
 """
 
 from repro.sweep.cache import CACHE_VERSION, ResultCache, point_key
-from repro.sweep.merge import merge_results, stats_from_result
+from repro.sweep.merge import merge_results
 from repro.sweep.runner import (
     ParallelRunner,
     PointOutcome,
@@ -46,5 +47,4 @@ __all__ = [
     "point_key",
     "CACHE_VERSION",
     "merge_results",
-    "stats_from_result",
 ]

@@ -16,6 +16,10 @@ Identical inputs always map to the same file, so
 semantics change so stale entries are ignored rather than trusted.
 Corrupt or truncated files (e.g. from a kill mid-write of a non-atomic
 external copy) are treated as misses.
+
+An entry stores a result's delay-histogram counts, not its latency
+summaries: a cache hit rebuilds every latency field from the counts,
+so it merges with other shards exactly like a freshly computed result.
 """
 
 from __future__ import annotations
@@ -28,12 +32,15 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.obs.estimators import DelayHistogram
 from repro.sim.config import SimConfig
-from repro.sim.simulator import SimResult
+from repro.sim.simulator import SimResult, latency_fields
 from repro.sweep.spec import SweepPoint
 
 #: Bump when simulator semantics change; folded into every cache key.
-CACHE_VERSION = 1
+#: Version 2: entries store delay-histogram counts instead of latency
+#: summaries.
+CACHE_VERSION = 2
 
 
 def point_key(config: SimConfig, point: SweepPoint) -> str:
@@ -74,15 +81,12 @@ def result_to_payload(result: SimResult) -> dict:
         "scheduler": result.scheduler,
         "load": result.load,
         "config": asdict(result.config),
-        "mean_latency": result.mean_latency,
-        "std_latency": result.std_latency,
-        "min_latency": result.min_latency,
-        "max_latency": result.max_latency,
+        "delays": result.delays.counts,
+        "percentiles": bool(result.percentiles),
         "offered": result.offered,
         "forwarded": result.forwarded,
         "dropped": result.dropped,
         "throughput": result.throughput,
-        "percentiles": [[float(p), float(v)] for p, v in result.percentiles.items()],
         "service_counts": (
             result.service_counts.tolist() if result.service_counts is not None else None
         ),
@@ -92,24 +96,20 @@ def result_to_payload(result: SimResult) -> dict:
 
 def payload_to_result(payload: dict) -> SimResult:
     """Inverse of :func:`result_to_payload`."""
-    service = payload.get("service_counts")
+    service = payload["service_counts"]
+    delays = DelayHistogram(payload["delays"])
     return SimResult(
         scheduler=payload["scheduler"],
         load=payload["load"],
         config=SimConfig(**payload["config"]),
-        mean_latency=payload["mean_latency"],
-        std_latency=payload["std_latency"],
-        min_latency=payload["min_latency"],
-        max_latency=payload["max_latency"],
+        **latency_fields(delays, payload["percentiles"]),
         offered=payload["offered"],
         forwarded=payload["forwarded"],
         dropped=payload["dropped"],
         throughput=payload["throughput"],
-        percentiles={float(p): float(v) for p, v in payload.get("percentiles", [])},
         service_counts=np.asarray(service, dtype=np.int64) if service is not None else None,
-        # Entries written before admission control existed lack the
-        # field; 0 (nothing shed) is exactly what those runs did.
-        shed=payload.get("shed", 0),
+        shed=payload["shed"],
+        delays=delays,
     )
 
 

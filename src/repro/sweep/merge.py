@@ -1,22 +1,17 @@
 """Shard merging: combine replicate ``SimResult`` shards into one.
 
-Every latency statistic a :class:`~repro.sim.simulator.SimResult`
-carries (mean, std, min, max) summarises an
-:class:`~repro.sim.metrics.OnlineStats` stream whose sample count is
-``forwarded`` — each packet forwarded inside the measurement window
-contributes exactly one latency sample. That makes the summary
-*sufficient* for exact recombination: :func:`stats_from_result`
-reconstructs the ``OnlineStats`` (``m2 = std² · (count − 1)``), and
-:meth:`OnlineStats.merge` recombines shards with Chan et al.'s pooled
-mean/variance, which is algebraically identical to having streamed all
-samples through a single accumulator (up to floating-point merge
-order).
+Every latency field of a :class:`~repro.sim.simulator.SimResult` is read
+off its ``delays`` — the exact
+:class:`~repro.obs.estimators.DelayHistogram` of the packets forwarded
+in the measurement window. Merging shards adds their counts, which is
+the histogram one run forwarding every shard's packets would have
+built, in any shard order; the merged mean, std, min, max and
+percentiles are then read off it exactly as for a single run.
 
 Counters (offered / forwarded / dropped) sum; throughput pools as
-total forwarded over total port-slots. Percentiles are *not* mergeable
-from summaries (a quantile needs the samples), so the merged result
-carries none unless there is exactly one shard, which passes through
-untouched — that is the invariant making a ``replicates=1`` sweep
+total forwarded over total port-slots. The merged result carries
+percentiles when every shard collected them. A single shard passes
+through untouched — the invariant making a ``replicates=1`` sweep
 bit-identical to a plain ``run_simulation`` call.
 """
 
@@ -24,40 +19,20 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from functools import reduce
 
-from repro.sim.metrics import OnlineStats
-from repro.sim.simulator import SimResult
-
-
-def stats_from_result(result: SimResult) -> OnlineStats:
-    """Reconstruct the latency ``OnlineStats`` a result summarises."""
-    stats = OnlineStats()
-    stats.count = result.forwarded
-    if stats.count:
-        stats._mean = result.mean_latency
-        stats.min = result.min_latency
-        stats.max = result.max_latency
-    if stats.count > 1 and not math.isnan(result.std_latency):
-        stats._m2 = result.std_latency**2 * (stats.count - 1)
-    return stats
-
-
-def merge_stats(shards: Sequence[OnlineStats]) -> OnlineStats:
-    """Left-fold ``OnlineStats.merge`` over shards (order = shard order)."""
-    if not shards:
-        return OnlineStats()
-    return reduce(lambda left, right: left.merge(right), shards)
+from repro.obs.estimators import DelayHistogram
+from repro.sim.simulator import SimResult, latency_fields
 
 
 def merge_results(results: Sequence[SimResult]) -> SimResult:
     """Merge replicate shards of one (scheduler, load) cell.
 
-    All shards must be for the same scheduler and load. A single shard
-    is returned unchanged (preserving percentiles and service counts
-    exactly); multiple shards are pooled as documented in the module
-    docstring. The merged result's ``config`` is the first shard's —
-    its seed identifies the replicate-0 stream the cell started from.
+    All shards must be for the same scheduler and load and carry their
+    ``delays``. A single shard is returned unchanged (preserving
+    percentiles and service counts exactly); multiple shards are pooled
+    as documented in the module docstring. The merged result's
+    ``config`` is the first shard's — its seed identifies the
+    replicate-0 stream the cell started from.
     """
     if not results:
         raise ValueError("merge_results needs at least one shard")
@@ -66,8 +41,12 @@ def merge_results(results: Sequence[SimResult]) -> SimResult:
     cells = {(r.scheduler, r.load) for r in results}
     if len(cells) != 1:
         raise ValueError(f"shards span multiple (scheduler, load) cells: {sorted(cells)}")
+    if any(r.delays is None for r in results):
+        raise ValueError("merge_results needs the delay histogram of every shard")
 
-    merged = merge_stats([stats_from_result(r) for r in results])
+    delays = DelayHistogram()
+    for result in results:
+        delays.merge(result.delays)
     forwarded = sum(r.forwarded for r in results)
     port_slots = sum(r.config.n_ports * r.config.measure_slots for r in results)
     if all(r.service_counts is not None for r in results):
@@ -80,14 +59,11 @@ def merge_results(results: Sequence[SimResult]) -> SimResult:
         scheduler=results[0].scheduler,
         load=results[0].load,
         config=results[0].config,
-        mean_latency=merged.mean,
-        std_latency=merged.std,
-        min_latency=merged.min if merged.count else math.nan,
-        max_latency=merged.max if merged.count else math.nan,
+        **latency_fields(delays, all(r.percentiles for r in results)),
         offered=sum(r.offered for r in results),
         forwarded=forwarded,
         dropped=sum(r.dropped for r in results),
         throughput=forwarded / port_slots if port_slots else math.nan,
-        percentiles={},
         service_counts=service_counts,
+        delays=delays,
     )

@@ -1,5 +1,7 @@
 """lcf-fairness CLI."""
 
+import pytest
+
 from repro.analysis.fairness_cli import main
 
 
@@ -41,3 +43,23 @@ class TestFairnessCLI:
     def test_custom_cycles(self, capsys):
         main(["--scheduler", "islip", "--ports", "4", "--cycles", "32"])
         assert "32" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--ports", "0"],
+        ["--ports", "-2"],
+        ["--scheduler", "nope"],
+        ["--cycles", "0"],
+        ["--cycles", "-3"],
+        ["--ports", "2", "--adversarial"],
+        ["--all", "--ports", "0"],
+    ],
+)
+def test_bad_input_exits_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lcf-fairness: ")

@@ -32,6 +32,9 @@ V1_CHECKPOINT = Path(__file__).resolve().parent.parent / "data" / "checkpoint_v1
 #: The golden checkpoint as written by format version 2 (its run spec
 #: still carries the ``fast`` flag).
 V2_CHECKPOINT = V1_CHECKPOINT.with_name("checkpoint_v2.json")
+#: A paused lossy run as written by format version 3 (its switch still
+#: carries floating-point running moments, not a delay histogram).
+V3_CHECKPOINT = V1_CHECKPOINT.with_name("checkpoint_v3_lossy.json")
 
 CHECKPOINT_CLIS = ["repro.obs.cli", "repro.faults.cli", "repro.adapt.cli"]
 
@@ -109,6 +112,13 @@ class TestEnvelopeValidation:
             load_checkpoint(V2_CHECKPOINT)
         assert "\n" not in str(caught.value)
 
+    def test_version_3_file_rejected(self, tmp_path):
+        # Its switch carries running moments, which today's delay
+        # histogram cannot take: refused before anything is restored.
+        with pytest.raises(CheckpointError, match="version 3") as caught:
+            resume_simulation(V3_CHECKPOINT, checkpoint_path=tmp_path / "x.ckpt")
+        assert "\n" not in str(caught.value)
+
     def test_non_object_document(self, checkpoint):
         checkpoint.write_text(json.dumps(["not", "an", "object"]))
         with pytest.raises(CheckpointError, match="JSON object"):
@@ -171,6 +181,10 @@ class TestCLIExitStatus:
     @pytest.mark.parametrize("module", CHECKPOINT_CLIS)
     def test_version_2_file_exits_2_with_one_line(self, module, capsys):
         _resume_exits_2_with_one_line(module, V2_CHECKPOINT, 2, capsys)
+
+    @pytest.mark.parametrize("module", CHECKPOINT_CLIS)
+    def test_version_3_file_exits_2_with_one_line(self, module, capsys):
+        _resume_exits_2_with_one_line(module, V3_CHECKPOINT, 3, capsys)
 
 
 class TestAtomicWrite:

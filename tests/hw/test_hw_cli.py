@@ -1,5 +1,7 @@
 """lcf-hw CLI."""
 
+import pytest
+
 from repro.hw.cli import main
 
 
@@ -27,3 +29,23 @@ class TestHwCLI:
         assert main(["--ports", "5", "--verify-rtl", "--rtl-cycles", "30"]) == 0
         out = capsys.readouterr().out
         assert "0 mismatches" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--ports", "0"],
+        ["--ports", "-1"],
+        ["--clock-mhz", "0"],
+        ["--clock-mhz", "-5"],
+        ["--clock-mhz", "inf"],
+        ["--iterations", "0"],
+        ["--rtl-cycles", "-1", "--verify-rtl"],
+    ],
+)
+def test_bad_input_exits_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lcf-hw: ")

@@ -2,69 +2,86 @@
 
 import doctest
 import math
+import statistics
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.obs.estimators
 import repro.sim.metrics
-from repro.sim.metrics import (
-    OnlineStats,
-    ServiceMatrix,
-    jain_index,
-    latency_percentiles,
-)
+from repro.obs.estimators import DelayHistogram
+from repro.sim.metrics import ServiceMatrix, jain_index
 
 
 def test_docstring_examples():
-    """The module's docstring examples (merge semantics etc.) must run."""
-    outcome = doctest.testmod(repro.sim.metrics, extraglobs={"math": math})
-    assert outcome.attempted > 0
-    assert outcome.failed == 0
+    """The modules' docstring examples must run."""
+    for module in (repro.sim.metrics, repro.obs.estimators):
+        outcome = doctest.testmod(module, extraglobs={"math": math})
+        assert outcome.attempted > 0
+        assert outcome.failed == 0
+
+
+def histogram_of(samples) -> DelayHistogram:
+    histogram = DelayHistogram()
+    for value in samples:
+        histogram.add(value)
+    return histogram
 
 
 class TestOnlineStats:
+    """Streaming mean/variance/min/max of the latency accumulator every
+    switch keeps, a :class:`DelayHistogram`: exact, not approximate."""
+
     def test_empty_stats_are_nan(self):
-        stats = OnlineStats()
+        stats = DelayHistogram()
+        assert stats.count == 0
         assert math.isnan(stats.mean)
         assert math.isnan(stats.variance)
+        assert math.isnan(stats.std)
+        assert math.isnan(stats.min) and math.isnan(stats.max)
 
     def test_matches_numpy_on_samples(self):
         rng = np.random.default_rng(0)
-        samples = rng.normal(5, 2, size=500)
-        stats = OnlineStats()
-        for value in samples:
-            stats.add(value)
+        samples = rng.integers(0, 200, size=500)
+        stats = histogram_of(samples.tolist())
         assert stats.mean == pytest.approx(samples.mean())
         assert stats.variance == pytest.approx(samples.var(ddof=1))
         assert stats.min == samples.min() and stats.max == samples.max()
+        # Extrema stay Python ints (JSON digests tell 7 from 7.0).
+        assert type(stats.min) is int and type(stats.max) is int
 
     def test_single_sample(self):
-        stats = OnlineStats()
-        stats.add(3.0)
+        stats = histogram_of([3])
         assert stats.mean == 3.0
         assert math.isnan(stats.variance)
 
     @given(
-        st.lists(st.floats(-1e6, 1e6), min_size=0, max_size=50),
-        st.lists(st.floats(-1e6, 1e6), min_size=0, max_size=50),
+        st.lists(st.lists(st.integers(0, 5000), max_size=40), min_size=1, max_size=5)
     )
-    @settings(max_examples=50, deadline=None)
-    def test_merge_equals_concatenation(self, left, right):
-        a, b, c = OnlineStats(), OnlineStats(), OnlineStats()
-        for v in left:
-            a.add(v)
-            c.add(v)
-        for v in right:
-            b.add(v)
-            c.add(v)
-        merged = a.merge(b)
-        assert merged.count == c.count
-        if merged.count:
-            assert merged.mean == pytest.approx(c.mean, rel=1e-9, abs=1e-6)
-        if merged.count > 1:
-            assert merged.variance == pytest.approx(c.variance, rel=1e-6, abs=1e-6)
+    @settings(max_examples=200, deadline=None)
+    def test_merge_equals_concatenation(self, shards):
+        """Bit for bit: the moments equal ``statistics`` over the samples,
+        and merging 1-5 shards gives the whole list's histogram."""
+        samples = [value for shard in shards for value in shard]
+        whole = histogram_of(samples)
+        merged = DelayHistogram()
+        for shard in shards:
+            merged.merge(histogram_of(shard))
+        assert merged.counts == whole.counts
+        for stats in (whole, merged):
+            assert stats.count == len(samples)
+            if samples:
+                assert stats.min == min(samples) and stats.max == max(samples)
+                assert stats.mean == statistics.fmean(samples)
+            else:
+                assert math.isnan(stats.mean) and math.isnan(stats.min)
+            if len(samples) > 1:
+                assert stats.variance == statistics.variance(samples)
+                assert stats.std == math.sqrt(statistics.variance(samples))
+            else:
+                assert math.isnan(stats.variance)
 
 
 class TestJainIndex:
@@ -109,9 +126,9 @@ class TestServiceMatrix:
 
 class TestPercentiles:
     def test_empty_gives_nans(self):
-        result = latency_percentiles(np.array([]))
+        result = DelayHistogram().percentiles()
         assert all(math.isnan(v) for v in result.values())
 
     def test_median_of_known_samples(self):
-        result = latency_percentiles(np.arange(1, 102))
-        assert result[50.0] == pytest.approx(51.0)
+        result = histogram_of(range(1, 102)).percentiles()
+        assert result[50.0] == 51.0

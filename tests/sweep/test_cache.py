@@ -8,7 +8,7 @@ import pytest
 
 from repro.sim.config import SimConfig
 from repro.sim.simulator import SimResult, run_simulation
-from repro.sweep import ResultCache, SweepSpec, point_key
+from repro.sweep import ResultCache, SweepSpec, merge_results, point_key
 from repro.sweep.cache import payload_to_result, result_to_payload
 
 
@@ -108,6 +108,24 @@ class TestRoundTrip:
         back = payload_to_result(json.loads(json.dumps(
             result_to_payload(result), allow_nan=True)))
         assert math.isnan(back.throughput) and math.isnan(back.mean_latency)
+
+
+    def test_cached_shards_merge_like_fresh_ones(self):
+        # Entries keep the delay counts, so pooled percentiles survive.
+        spec, _ = spec_and_point(replicates=2)
+        fresh = [
+            run_simulation(spec.point_config(p), p.scheduler, p.load,
+                           collect_percentiles=True)
+            for p in spec.points()
+        ]
+        cached = [
+            payload_to_result(json.loads(json.dumps(
+                result_to_payload(r), allow_nan=True)))
+            for r in fresh
+        ]
+        assert [r.delays.counts for r in cached] == [r.delays.counts for r in fresh]
+        assert merge_results(cached).row() == merge_results(fresh).row()
+        assert merge_results(cached).percentiles
 
 
 class TestCacheStore:

@@ -1,17 +1,18 @@
 """Parallel runner: shard-merge correctness, caching, and resume."""
 
 import math
+import statistics
 
-import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.sweep.runner as runner_mod
+from repro.obs import RingTracer
+from repro.obs.estimators import DelayHistogram
 from repro.sim.config import SimConfig
-from repro.sim.metrics import OnlineStats
-from repro.sim.simulator import SimResult, run_simulation
+from repro.sim.simulator import SimResult, latency_fields, run_simulation
 from repro.sweep import ParallelRunner, ResultCache, SweepSpec, merge_results
-from repro.sweep.merge import stats_from_result
 
 
 def quick_spec(**kw):
@@ -26,17 +27,15 @@ def quick_spec(**kw):
 
 
 def result_from_samples(samples, config):
-    """A synthetic SimResult summarising an explicit latency stream."""
-    stats = OnlineStats()
+    """A synthetic SimResult summarising an explicit delay stream."""
+    delays = DelayHistogram()
     for value in samples:
-        stats.add(value)
+        delays.add(value)
     return SimResult(
         scheduler="synthetic", load=0.5, config=config,
-        mean_latency=stats.mean, std_latency=stats.std,
-        min_latency=stats.min if stats.count else math.nan,
-        max_latency=stats.max if stats.count else math.nan,
-        offered=stats.count, forwarded=stats.count, dropped=0,
-        throughput=0.0,
+        **latency_fields(delays, True),
+        offered=delays.count, forwarded=delays.count, dropped=0,
+        throughput=0.0, delays=delays,
     )
 
 
@@ -82,32 +81,32 @@ class TestParallelEqualsSerial:
 class TestShardMergeProperty:
     @given(
         st.lists(
-            st.lists(st.floats(1.0, 1e4), min_size=0, max_size=40),
+            st.lists(st.integers(1, 10**4), min_size=0, max_size=40),
             min_size=2, max_size=5,
         )
     )
     @settings(max_examples=60, deadline=None)
     def test_nway_sharded_stats_equal_single_stream(self, shards):
-        """mean/std/min/max/count of merged shards == one-pass stats."""
+        """Every latency field of merged shards equals the one-stream
+        value exactly: delays are integers, and merging adds counts."""
         config = SimConfig(n_ports=4, warmup_slots=10, measure_slots=100)
         merged = merge_results([result_from_samples(s, config) for s in shards])
-        whole = OnlineStats()
-        for shard in shards:
-            for value in shard:
-                whole.add(value)
-        assert merged.forwarded == whole.count
-        if whole.count == 0:
+        whole = [value for shard in shards for value in shard]
+        assert merged.forwarded == len(whole)
+        if not whole:
             assert math.isnan(merged.mean_latency)
             assert math.isnan(merged.min_latency)
             assert math.isnan(merged.max_latency)
             return
-        assert merged.min_latency == whole.min
-        assert merged.max_latency == whole.max
-        assert merged.mean_latency == pytest.approx(whole.mean, rel=1e-9)
-        if whole.count > 1:
-            assert merged.std_latency == pytest.approx(
-                whole.std, rel=1e-6, abs=1e-9
-            )
+        assert merged.min_latency == min(whole)
+        assert merged.max_latency == max(whole)
+        assert merged.mean_latency == statistics.fmean(whole)
+        if len(whole) > 1:
+            assert merged.std_latency == math.sqrt(statistics.variance(whole))
+        assert merged.percentiles == {
+            p: float(v)
+            for p, v in zip((50.0, 90.0, 99.0), np.percentile(whole, (50, 90, 99)))
+        }
 
     def test_sharded_sweep_merges_exactly_like_manual_fold(self):
         """Engine merge == folding the per-seed results by hand."""
@@ -124,8 +123,33 @@ class TestShardMergeProperty:
         assert merged.min_latency == expected.min_latency
         assert merged.max_latency == expected.max_latency
         assert merged.forwarded == expected.forwarded
-        # And the reconstruction round-trip is consistent.
-        assert stats_from_result(manual[0]).count == manual[0].forwarded
+        # Every forwarded packet is one sample of the shard's histogram.
+        assert manual[0].delays.count == manual[0].forwarded
+
+
+    def test_merged_runs_read_pooled_delays(self):
+        """A merged result's percentiles and mean are those of every
+        shard's forwarded packets pooled, as the traces record them."""
+        config = SimConfig(n_ports=8, warmup_slots=100, measure_slots=400)
+        results, pooled = [], []
+        for seed in (1, 2):
+            tracer = RingTracer(1 << 20)
+            results.append(run_simulation(
+                config.with_(seed=seed), "lcf_central_rr", 0.9,
+                collect_percentiles=True, tracer=tracer,
+            ))
+            pooled.extend(
+                event["latency"]
+                for event in tracer.of_type("forward")
+                if event["slot"] >= config.warmup_slots
+            )
+        merged = merge_results(results)
+        assert merged.forwarded == len(pooled)
+        assert merged.percentiles == {
+            p: float(v)
+            for p, v in zip((50.0, 90.0, 99.0), np.percentile(pooled, (50, 90, 99)))
+        }
+        assert merged.mean_latency == statistics.fmean(pooled)
 
 
 class TestCacheAndResume:
