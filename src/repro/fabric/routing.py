@@ -73,8 +73,10 @@ class LeastLoadedRouter(FlowRouter):
 
     def middle_for(self, src: int, dst: int, ingress_switch) -> int:
         m = self.m
-        # Total backlog queued toward each middle link at this ingress.
-        depth = ingress_switch.voqs.occupancy[:, :m].sum(axis=0)
+        # Total backlog queued toward each middle link at this ingress,
+        # read off the VOQ deques of its first m columns.
+        rows = ingress_switch.voqs._queues
+        depth = [sum(len(row[j]) for row in rows) for j in range(m)]
         offset = hash_u64(self.seed, _SALT_ROUTE, src, dst) % m
         best = offset
         best_depth = depth[offset]

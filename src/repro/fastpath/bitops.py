@@ -52,14 +52,12 @@ def pack_cols(matrix: np.ndarray) -> list[int]:
 
 
 def unpack_rows(rows: list[int], n: int) -> np.ndarray:
-    """Inverse of :func:`pack_rows`: bitmasks back to a boolean matrix."""
-    matrix = np.zeros((len(rows), n), dtype=bool)
-    for i, mask in enumerate(rows):
-        while mask:
-            bit = mask & -mask
-            matrix[i, bit.bit_length() - 1] = True
-            mask ^= bit
-    return matrix
+    """Inverse of :func:`pack_rows`: bitmasks back to a boolean matrix,
+    with one ``np.unpackbits`` at any width."""
+    width = (n + 7) // 8
+    data = b"".join(mask.to_bytes(width, "little") for mask in rows)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
 def derive_cols(rows: list[int], n: int) -> list[int]:

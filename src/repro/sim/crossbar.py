@@ -435,23 +435,28 @@ class InputQueuedSwitch:
         """The branch-free slot loop over VOQ bitmasks; returns the last
         slot's grant list.
 
-        Same four stages in the same order as :meth:`step`, but the
-        scheduler is fed the incrementally-maintained request bitmasks
+        Same four stages in the same order as :meth:`step`, worked
+        directly on the queues' deques and the request bitmasks
         (``VOQSet.row_masks`` / ``col_masks``, one Python int per port
-        at any width) instead of a freshly built boolean matrix, and all
-        bookkeeping stays in plain Python ints. With a metrics registry
-        attached, counters and histograms are tallied locally and added
-        to the registry once, when the block ends.
+        at any width) — no queue method is called and no request matrix
+        is built. Generation and injection run as one pass per input:
+        input ``i``'s two stages touch only PQ ``i`` and VOQ row ``i``,
+        so fusing them changes no result. An arrival at an empty PQ
+        whose VOQ has room goes straight into the VOQ, which is what
+        push-then-inject would do. With a metrics registry attached,
+        counters and histograms are tallied locally and added to the
+        registry once, when the block ends.
         """
         measuring = self.measuring
         pqs = self.pqs
+        pq_queues = [pq._queue for pq in pqs]
+        pq_capacity = self.config.pq_capacity
         voqs = self.voqs
-        has_space = voqs.has_space
-        voq_push = voqs.push
-        voq_pop = voqs.pop
+        voq_rows = voqs._queues
+        voq_capacity = voqs.capacity
+        rows, cols = voqs.row_masks, voqs.col_masks
         scheduler = self.scheduler
         kernel = scheduler.schedule_masks
-        rows, cols = voqs.row_masks, voqs.col_masks
         latency_add = self.latency.add
         service = self.service if measuring else None
         metered = self.metrics is not None
@@ -463,31 +468,53 @@ class InputQueuedSwitch:
             choices = [0] * (n + 1)
             depths = [0] * n
             overrides = 0
-            dropped_before = self.dropped
             live_slot = self._live_slot
         # The distributed RR overlay pre-matches its position before the
         # kernel's iterations run, so its record never shows that grant.
         track_rr = metered and getattr(scheduler, "rr_position", None) is not None
-        arrived = forwarded = 0
+        arrived = dropped = forwarded = 0
         grants: list[int] = []
 
         slot = first_slot
         for arrivals in arrivals_block:
-            # 1. Generation into PQs.
+            # 1 + 2. Generation into PQ i, then one packet from its head
+            #    into VOQ row i (a full VOQ blocks the head).
             for i, dst in enumerate(arrivals.tolist()):
+                pq = pq_queues[i]
                 if dst != NO_ARRIVAL:
                     arrived += 1
-                    pqs[i].push(dst, slot)
-
-            # 2. Injection: one packet per input link per slot.
-            for i, pq in enumerate(pqs):
-                head = pq.head()
-                if head is not None and has_space(i, head[0]):
-                    dst, t_generated = pq.pop()
-                    voq_push(i, dst, t_generated)
+                    if not pq:
+                        # The arrival is the PQ's head: it moves into
+                        # its VOQ at once, or waits behind a full one.
+                        voq = voq_rows[i][dst]
+                        depth = len(voq)
+                        if depth < voq_capacity:
+                            voq.append(slot)
+                            if not depth:
+                                rows[i] |= 1 << dst
+                                cols[dst] |= 1 << i
+                        else:
+                            pq.append((dst, slot))
+                        continue
+                    if len(pq) >= pq_capacity:
+                        pqs[i].dropped += 1
+                        dropped += 1
+                    else:
+                        pq.append((dst, slot))
+                elif not pq:
+                    continue
+                head_dst, t_generated = pq[0]
+                voq = voq_rows[i][head_dst]
+                depth = len(voq)
+                if depth < voq_capacity:
+                    pq.popleft()
+                    voq.append(t_generated)
+                    if not depth:
+                        rows[i] |= 1 << head_dst
+                        cols[head_dst] |= 1 << i
 
             # 3. Scheduling straight off the maintained bitmasks (the
-            #    kernel only reads them; forwarding updates them via pop).
+            #    kernel only reads them; forwarding updates them).
             if track_rr:
                 rr_i, rr_j = scheduler.rr_position
                 self._pending_rr = (
@@ -495,12 +522,17 @@ class InputQueuedSwitch:
                 )
             grants = kernel(rows, cols)
 
-            # 4. Forwarding.
+            # 4. Forwarding. A granted VOQ is non-empty, so its bits are
+            #    set and emptying it toggles them off.
             slot_start = forwarded
             for i, j in enumerate(grants):
                 if j == NO_GRANT:
                     continue
-                delay = slot - voq_pop(i, j) + 1
+                voq = voq_rows[i][j]
+                delay = slot - voq.popleft() + 1
+                if not voq:
+                    rows[i] ^= 1 << j
+                    cols[j] ^= 1 << i
                 forwarded += 1
                 if measuring:
                     latency_add(delay)
@@ -523,7 +555,7 @@ class InputQueuedSwitch:
         if metered:
             self._flush_decisions(matching, choices, depths, overrides)
             self._m_arrivals.inc(arrived)
-            self._m_dropped.inc(self.dropped - dropped_before)
+            self._m_dropped.inc(dropped)
             self._m_forwarded.inc(forwarded)
             self._live_slot = live_slot
         return grants

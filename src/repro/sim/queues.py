@@ -2,15 +2,27 @@
 
 For speed the queues store bare generation timestamps (ints) — latency
 is all the statistics need — with destinations implied by queue identity
-(VOQs) or stored alongside (PQ, FIFO). Occupancy counters are maintained
-incrementally so the request matrix is O(n^2) to read, not O(packets).
+(VOQs) or stored alongside (PQ, FIFO). The deques are the only queue
+state: the per-VOQ occupancy counts are read off their lengths when
+something asks for them. The one thing kept incrementally is the
+request bitmask pair (``VOQSet.row_masks`` / ``col_masks``), updated on
+0 <-> 1 transitions; the request matrix is unpacked from it.
+
+The crossbar's fast slot loop works on ``PacketQueue._queue`` and
+``VOQSet._queues`` (a list of rows of deques) and on the masks
+directly, so it must keep the same invariants as the methods here:
+capacity checks before every append and a mask transition whenever a
+VOQ goes 0 -> 1 or 1 -> 0 packets.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 
 import numpy as np
+
+from repro.fastpath.bitops import unpack_rows
 
 
 class PacketQueue:
@@ -72,7 +84,6 @@ class VOQSet:
         self._queues: list[list[deque[int]]] = [
             [deque() for _ in range(n)] for _ in range(n)
         ]
-        self._occupancy = np.zeros((n, n), dtype=np.int64)
         #: Per-input request bitmasks (bit j set iff VOQ (i, j) is
         #: non-empty) and the per-output transpose — maintained on every
         #: 0 <-> 1 occupancy transition so the fastpath kernels can read
@@ -83,11 +94,14 @@ class VOQSet:
 
     @property
     def occupancy(self) -> np.ndarray:
-        """Read-only view of per-VOQ packet counts."""
-        return self._occupancy
+        """Per-VOQ packet counts, an ``n x n`` array built from the
+        deque lengths on each call."""
+        n = self.n
+        lengths = map(len, chain.from_iterable(self._queues))
+        return np.fromiter(lengths, dtype=np.int64, count=n * n).reshape(n, n)
 
     def total_queued(self) -> int:
-        return int(self._occupancy.sum())
+        return sum(map(len, chain.from_iterable(self._queues)))
 
     def has_space(self, i: int, j: int) -> bool:
         return len(self._queues[i][j]) < self.capacity
@@ -98,14 +112,12 @@ class VOQSet:
         if len(queue) >= self.capacity:
             raise OverflowError(f"VOQ[{i}][{j}] is full (capacity {self.capacity})")
         queue.append(t_generated)
-        self._occupancy[i, j] += 1
         if len(queue) == 1:
             self.row_masks[i] |= 1 << j
             self.col_masks[j] |= 1 << i
 
     def pop(self, i: int, j: int) -> int:
         """Dequeue the head packet of VOQ (i, j); returns its timestamp."""
-        self._occupancy[i, j] -= 1
         queue = self._queues[i][j]
         t_generated = queue.popleft()
         if not queue:
@@ -114,21 +126,21 @@ class VOQSet:
         return t_generated
 
     def clear(self) -> None:
-        """Empty every VOQ and reset the occupancy counters and request
-        masks — back to the as-constructed state (for run-to-run switch
-        reuse)."""
+        """Empty every VOQ and reset the request masks — back to the
+        as-constructed state (for run-to-run switch reuse)."""
         for row in self._queues:
             for queue in row:
                 queue.clear()
-        self._occupancy[:] = 0
         # Mutate the mask containers in place: the crossbar's fast loop
         # holds direct references to them.
         self.row_masks[:] = [0] * self.n
         self.col_masks[:] = [0] * self.n
 
     def request_matrix(self) -> np.ndarray:
-        """Boolean matrix of non-empty VOQs — what the scheduler sees."""
-        return self._occupancy > 0
+        """Boolean matrix of non-empty VOQs — what the scheduler sees.
+
+        Unpacked from ``row_masks``, never a pass over the deques."""
+        return unpack_rows(self.row_masks, self.n)
 
     def head_timestamps(self) -> np.ndarray:
         """Generation timestamps of the head packets (-1 where empty) —

@@ -8,7 +8,7 @@ the histogram one run forwarding every shard's packets would have
 built, in any shard order; the merged mean, std, min, max and
 percentiles are then read off it exactly as for a single run.
 
-Counters (offered / forwarded / dropped) sum; throughput pools as
+Counters (offered / forwarded / dropped / shed) sum; throughput pools as
 total forwarded over total port-slots. The merged result carries
 percentiles when every shard collected them. A single shard passes
 through untouched — the invariant making a ``replicates=1`` sweep
@@ -63,6 +63,7 @@ def merge_results(results: Sequence[SimResult]) -> SimResult:
         offered=sum(r.offered for r in results),
         forwarded=forwarded,
         dropped=sum(r.dropped for r in results),
+        shed=sum(r.shed for r in results),
         throughput=forwarded / port_slots if port_slots else math.nan,
         service_counts=service_counts,
         delays=delays,

@@ -15,6 +15,9 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 GOLDEN = REPO_ROOT / "tests" / "data" / "golden_checkpoint.json"
+#: The same pinned run as written by a v4 VOQ set that still kept a
+#: numpy occupancy mirror (``_occupancy``) next to its deques.
+V4_MIRROR = GOLDEN.with_name("checkpoint_v4_mirror.json")
 
 
 def _load_tool():
@@ -62,6 +65,38 @@ def test_golden_resumes_to_completion(tmp_path):
     result = resume_simulation(working, metrics=MetricsRegistry())
     assert result.forwarded > 0
     assert result.shed >= 0
+
+
+def test_v4_file_with_occupancy_mirror_resumes_to_the_uninterrupted_row(tmp_path):
+    # The mirror is restored as an attribute nothing reads: the deques
+    # and masks it duplicated carry the whole queue state.
+    import shutil
+
+    from repro.checkpoint import resume_simulation
+    from repro.obs.metrics import MetricsRegistry
+    from repro.sim.config import SimConfig
+    from repro.sim.simulator import run_simulation
+
+    tool = _load_tool()
+    config = SimConfig(
+        n_ports=tool.N_PORTS,
+        warmup_slots=tool.WARMUP,
+        measure_slots=tool.MEASURE,
+        seed=tool.SEED,
+    )
+    straight = run_simulation(
+        config,
+        tool.SCHEDULER,
+        tool.LOAD,
+        faults=tool.FAULT_SPEC,
+        adapter=tool.ADAPT_SPEC,
+        admission=tool.ADMISSION,
+        metrics=MetricsRegistry(),
+    )
+    working = tmp_path / "v4_mirror.ckpt"
+    shutil.copy(V4_MIRROR, working)
+    resumed = resume_simulation(working, metrics=MetricsRegistry())
+    assert resumed.row() == straight.row()
 
 
 def test_divergence_reports_diff(tmp_path, capsys, monkeypatch):

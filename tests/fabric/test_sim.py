@@ -126,6 +126,35 @@ class TestRouting:
         balanced = run_fabric(clos_spec(routing="least_loaded"))
         assert hashed.stage_forwards != balanced.stage_forwards
 
+    def test_least_loaded_picks_the_shallowest_middle_column(self):
+        # The pick is the middle link whose VOQ column at the ingress
+        # switch holds the fewest packets; ties go to the first such
+        # column in cyclic order from the flow's hash offset.
+        from repro.fabric.routing import _SALT_ROUTE, LeastLoadedRouter
+        from repro.faults.injector import hash_u64
+        from repro.sim.crossbar import InputQueuedSwitch
+        from repro.sim.simulator import make_crossbar_scheduler
+
+        m, n, seed = 3, 8, 5
+        switch = InputQueuedSwitch(
+            SimConfig(n_ports=n), make_crossbar_scheduler("islip", n)
+        )
+        # Column depths 3, 1, 1 over the m middle links (two tie for
+        # shallowest), while the first m rows hold nothing at all.
+        for i, j in ((5, 0), (6, 0), (7, 0), (4, 1), (4, 2), (3, 5)):
+            switch.voqs.push(i, j, 0)
+        depth = [3, 1, 1]
+        router = LeastLoadedRouter(m, k=n // m, seed=seed)
+        picks = set()
+        for src in range(n):
+            for dst in range(n):
+                offset = hash_u64(seed, _SALT_ROUTE, src, dst) % m
+                cyclic = [(offset + step) % m for step in range(m)]
+                expected = min(cyclic, key=lambda j: depth[j])
+                assert router.middle_for(src, dst, switch) == expected
+                picks.add(expected)
+        assert picks == {1, 2}
+
 
 class TestFaultsAndAdaptation:
     def test_per_switch_fault_plan_fires(self):

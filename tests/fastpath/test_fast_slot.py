@@ -30,11 +30,35 @@ CONFIG = SimConfig(n_ports=4, warmup_slots=10, measure_slots=60, seed=9)
 WIDE = SimConfig(n_ports=80, warmup_slots=10, measure_slots=40, seed=9)
 
 
+#: (PQ, VOQ) capacities small enough to fill at load 1.0, so a run
+#: takes the fast loop's PQ-drop, head-of-line-block and empty-PQ-bypass
+#: branches.
+FULL_QUEUES = ((1, 1), (3, 2))
+
+
 def at_both_widths(names):
     """``(name, config)`` cases at 4 ports (id ``name``) and at 80
     (id ``name-n80``)."""
     return [pytest.param(name, CONFIG, id=name) for name in names] + [
         pytest.param(name, WIDE, id=f"{name}-n80") for name in names
+    ]
+
+
+def equivalence_cases(names):
+    """``(name, config, load)``: the default queues at load 0.8 (ids as
+    in :func:`at_both_widths`), then each :data:`FULL_QUEUES` pair at
+    load 1.0 (ids suffixed ``-pq<P>-voq<V>``)."""
+    cases = at_both_widths(names)
+    return [pytest.param(*case.values, 0.8, id=case.id) for case in cases] + [
+        pytest.param(
+            name,
+            config.with_(pq_capacity=pq, voq_capacity=voq),
+            1.0,
+            id=f"{case.id}-pq{pq}-voq{voq}",
+        )
+        for pq, voq in FULL_QUEUES
+        for case in cases
+        for name, config in [case.values]
     ]
 
 
@@ -146,11 +170,13 @@ def reference_run(*args, **kwargs):
 
 
 class TestRunEquivalence:
-    @pytest.mark.parametrize("name, config", at_both_widths(fast_schedulers()))
-    def test_fast_run_is_bit_identical(self, name, config):
-        reference = reference_run(config, name, 0.8, collect_percentiles=True)
-        fast = run_simulation(config, name, 0.8, collect_percentiles=True)
+    @pytest.mark.parametrize("name, config, load", equivalence_cases(fast_schedulers()))
+    def test_fast_run_is_bit_identical(self, name, config, load):
+        reference = reference_run(config, name, load, collect_percentiles=True)
+        fast = run_simulation(config, name, load, collect_percentiles=True)
         assert reference.row() == fast.row()
+        if (config.pq_capacity, config.voq_capacity) in FULL_QUEUES:
+            assert fast.dropped > 0
 
     @pytest.mark.parametrize(
         "name, config", at_both_widths(["lcf_central_rr", "islip", "pim"])

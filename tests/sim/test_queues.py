@@ -85,14 +85,24 @@ class TestVOQMasks:
 
     @staticmethod
     def assert_masks_consistent(voqs: VOQSet):
+        # The expectation comes from the deque lengths, never from
+        # request_matrix(), which is unpacked from the masks under test.
         n = voqs.n
-        matrix = voqs.request_matrix()
+        matrix = voqs.occupancy > 0
         for i in range(n):
             expected = sum(1 << j for j in range(n) if matrix[i, j])
             assert voqs.row_masks[i] == expected
         for j in range(n):
             expected = sum(1 << i for i in range(n) if matrix[i, j])
             assert voqs.col_masks[j] == expected
+
+    @classmethod
+    def assert_views_consistent(cls, voqs: VOQSet):
+        """Masks, request matrix and total all agree with the deques."""
+        cls.assert_masks_consistent(voqs)
+        occupancy = voqs.occupancy
+        assert np.array_equal(voqs.request_matrix(), occupancy > 0)
+        assert voqs.total_queued() == occupancy.sum()
 
     @pytest.mark.parametrize("n", [4, 63, 64, 65, 128])
     def test_masks_track_random_push_pop_sequences(self, n):
@@ -113,8 +123,8 @@ class TestVOQMasks:
                     if (i, j) not in occupied:
                         occupied.append((i, j))
             if step % 40 == 0:
-                self.assert_masks_consistent(voqs)
-        self.assert_masks_consistent(voqs)
+                self.assert_views_consistent(voqs)
+        self.assert_views_consistent(voqs)
 
     def test_word_boundary_bits_set_and_clear(self):
         # Crosspoints straddling the 64-bit edge set and clear the right

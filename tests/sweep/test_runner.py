@@ -151,6 +151,22 @@ class TestShardMergeProperty:
         }
         assert merged.mean_latency == statistics.fmean(pooled)
 
+    def test_merged_admission_shards_sum_shed(self):
+        """Every counter of a merged result is the sum over its shards,
+        including the arrivals admission control shed."""
+        from repro import run_replicates
+
+        config = SimConfig(n_ports=8, warmup_slots=50, measure_slots=400, seed=3)
+        shards = run_replicates(
+            config, "lcf_central_rr", 1.0, 2, admission=(20, 40)
+        )
+        assert all(shard.shed > 0 for shard in shards)
+        merged = merge_results(shards)
+        for counter in ("offered", "forwarded", "dropped", "shed"):
+            assert getattr(merged, counter) == sum(
+                getattr(shard, counter) for shard in shards
+            ), counter
+
 
 class TestCacheAndResume:
     def test_rerun_is_pure_cache_hits(self, tmp_path, monkeypatch):
