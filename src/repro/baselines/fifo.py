@@ -13,7 +13,9 @@ for large ``n`` (Karol, Hluchyj & Morgan, reference [8]).
 
 Round-robin service is implemented with a rotating input offset: each
 output grants the contending input that comes first at or after the
-offset, and the offset advances every scheduling cycle.
+offset, and the offset advances every scheduling cycle. The arbitration
+runs on Python lists (:meth:`FIFOScheduler.arbitrate`), which is what
+the FIFO switch's slot loop calls; the numpy entry points wrap it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import Scheduler
-from repro.types import NO_GRANT, RequestMatrix, Schedule, empty_schedule
+from repro.types import NO_GRANT, RequestMatrix, Schedule
 
 
 class FIFOScheduler(Scheduler):
@@ -45,20 +47,26 @@ class FIFOScheduler(Scheduler):
         hol = np.asarray(hol, dtype=np.int64)
         if hol.shape != (self.n,):
             raise ValueError(f"HOL vector must have shape ({self.n},), got {hol.shape}")
+        return np.array(self.arbitrate(hol.tolist()), dtype=np.int64)
+
+    def arbitrate(self, hol: list[int]) -> list[int]:
+        """One round-robin cycle over a head-of-line list of Python ints
+        (same convention as :meth:`schedule_hol`); returns the grant
+        list. Inputs are visited in cyclic order from the round-robin
+        offset, so the closest contender for each output wins."""
         n = self.n
-        schedule = empty_schedule(n)
-        # Rank inputs by cyclic distance from the round-robin offset; the
-        # closest contender for each output wins.
-        rank = (np.arange(n) - self._offset) % n
-        order = np.argsort(rank)
-        out_taken = np.zeros(n, dtype=bool)
-        for i in order:
+        start = self._offset
+        grants = [NO_GRANT] * n
+        taken = 0  # bit j set once output j is granted
+        for i in range(start, start + n):
+            if i >= n:
+                i -= n
             j = hol[i]
-            if j != NO_GRANT and not out_taken[j]:
-                schedule[i] = j
-                out_taken[j] = True
-        self._offset = (self._offset + 1) % n
-        return schedule
+            if j != NO_GRANT and not taken >> j & 1:
+                grants[i] = j
+                taken |= 1 << j
+        self._offset = start + 1 if start + 1 < n else 0
+        return grants
 
     def _schedule(self, requests: RequestMatrix) -> Schedule:
         """Request-matrix API: rows must have at most one set bit (the HOL

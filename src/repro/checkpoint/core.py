@@ -253,7 +253,10 @@ def resume_simulation(
     )
 
     restore_state(pattern, state["pattern"])
-    restore_state(switch, state["switch"])
+    # Whether the crossbar may take its fast loop is a probe of the
+    # rebuilt switch, not run state: a file written before a scheduler
+    # had a bitset kernel resumes on that kernel's loop.
+    restore_state(switch, state["switch"], skip=("_fast_slot",))
     if metrics is not None and state["metrics"] is not None:
         restore_metrics(metrics, state["metrics"])
     if exporter is not None and exporter_state is not None:

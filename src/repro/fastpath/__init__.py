@@ -6,8 +6,8 @@ register words. This package is the software analogue — request
 matrices are represented as per-input Python-int bitmasks (one int per
 row at every width, the n-bit request register), and the scheduling
 kernels run on bitwise operations (popcount for NRQ recomputation, bit
-rotation for the rotating tie-break chain) instead of per-cycle numpy
-allocations.
+rotation for the rotating tie-break chain and for the wavefront
+arbiter's wrapped diagonals) instead of per-cycle numpy allocations.
 
 Every fast kernel is a *drop-in twin* of its reference implementation:
 same registry name, same state machine, same decision trace — and
@@ -42,6 +42,7 @@ from repro.fastpath.registry import (
     has_fast_kernel,
     make_fast_scheduler,
 )
+from repro.fastpath.wavefront import FastWrappedWaveFront
 
 __all__ = [
     "FAST_SCHEDULER_NAMES",
@@ -52,6 +53,7 @@ __all__ = [
     "FastLCFDistributed",
     "FastLCFDistributedRR",
     "FastPIM",
+    "FastWrappedWaveFront",
     "WORD_BITS",
     "derive_cols",
     "fast_schedulers",

@@ -20,6 +20,7 @@ from repro.fastpath.islip import FastISLIP
 from repro.fastpath.lcf import FastLCFCentral, FastLCFCentralRR
 from repro.fastpath.lcf_dist import FastLCFDistributed, FastLCFDistributedRR
 from repro.fastpath.pim import FastPIM
+from repro.fastpath.wavefront import FastWrappedWaveFront
 
 _FAST_FACTORIES: dict[str, Callable[..., Scheduler]] = {
     "lcf_central": lambda n, **kw: FastLCFCentral(n),
@@ -30,6 +31,7 @@ _FAST_FACTORIES: dict[str, Callable[..., Scheduler]] = {
     ),
     "islip": lambda n, iterations=4, **kw: FastISLIP(n, iterations),
     "pim": lambda n, iterations=4, seed=0, **kw: FastPIM(n, iterations, seed),
+    "wfront": lambda n, **kw: FastWrappedWaveFront(n),
 }
 
 #: Registry names with a bitset kernel (everything else falls back).

@@ -50,33 +50,78 @@ class FIFOSwitch:
         return sum(pq.dropped for pq in self.pqs)
 
     def step(self, slot: int, arrivals: np.ndarray) -> np.ndarray:
-        n = self.n
-        # 1. Generation into PQs.
-        for i in range(n):
-            dst = arrivals[i]
-            if dst != NO_ARRIVAL:
-                if self.measuring:
-                    self.offered += 1
-                self.pqs[i].push(int(dst), slot)
+        """Advance one time slot; returns the schedule that was applied."""
+        return np.array(self.run_slots(slot, (arrivals,)), dtype=np.int64)
 
-        # 2. Injection: one packet per slot from PQ into the input FIFO.
-        for i, pq in enumerate(self.pqs):
-            if pq.head() is not None and len(self.fifos[i]) < self.fifo_capacity:
-                self.fifos[i].append(pq.pop())
+    def run_slots(self, first_slot: int, arrivals_block) -> list[int]:
+        """Advance one consecutive block of slots; returns the last
+        slot's grant list.
 
-        # 3. Head-of-line arbitration.
-        hol = np.full(n, NO_GRANT, dtype=np.int64)
-        for i, fifo in enumerate(self.fifos):
-            if fifo:
-                hol[i] = fifo[0][0]
-        schedule = self.scheduler.schedule_hol(hol)
+        Per slot: generation into the PQs, injection of one packet per
+        input from its PQ head into its FIFO, round-robin arbitration
+        among the FIFO heads (:meth:`FIFOScheduler.arbitrate`), and
+        departure of the granted heads. Generation and injection run as
+        one pass per input: input ``i``'s two stages touch only PQ ``i``
+        and FIFO ``i``, so fusing them changes no result. An arrival at
+        an empty PQ whose FIFO has room goes straight into the FIFO,
+        which is what push-then-inject would do. The loop works on the
+        queues' deques directly.
 
-        # 4. Forwarding.
-        for i in range(n):
-            if schedule[i] == NO_GRANT:
-                continue
-            _, t_generated = self.fifos[i].popleft()
-            if self.measuring:
-                self.forwarded += 1
-                self.latency.add(slot - t_generated + 1)
-        return schedule
+        ``measuring`` must not change mid-block —
+        :func:`repro.sim.simulator._drive` splits its blocks at the
+        warmup boundary.
+        """
+        measuring = self.measuring
+        pqs = self.pqs
+        pq_queues = [pq._queue for pq in pqs]
+        pq_capacity = self.config.pq_capacity
+        fifos = self.fifos
+        fifo_capacity = self.fifo_capacity
+        arbitrate = self.scheduler.arbitrate
+        latency_add = self.latency.add
+        arrived = forwarded = 0
+        grants: list[int] = []
+
+        slot = first_slot
+        for arrivals in arrivals_block:
+            # 1 + 2. Generation into PQ i, then one packet from its head
+            #    into FIFO i (a full FIFO blocks the head).
+            for i, dst in enumerate(arrivals.tolist()):
+                pq = pq_queues[i]
+                fifo = fifos[i]
+                if dst != NO_ARRIVAL:
+                    arrived += 1
+                    if not pq:
+                        # The arrival is the PQ's head: it moves into
+                        # the FIFO at once, or waits behind a full one.
+                        if len(fifo) < fifo_capacity:
+                            fifo.append((dst, slot))
+                        else:
+                            pq.append((dst, slot))
+                        continue
+                    if len(pq) >= pq_capacity:
+                        pqs[i].dropped += 1
+                    else:
+                        pq.append((dst, slot))
+                elif not pq:
+                    continue
+                if len(fifo) < fifo_capacity:
+                    fifo.append(pq.popleft())
+
+            # 3. Head-of-line arbitration.
+            grants = arbitrate([fifo[0][0] if fifo else NO_GRANT for fifo in fifos])
+
+            # 4. Forwarding.
+            for i, j in enumerate(grants):
+                if j == NO_GRANT:
+                    continue
+                _, t_generated = fifos[i].popleft()
+                forwarded += 1
+                if measuring:
+                    latency_add(slot - t_generated + 1)
+            slot += 1
+
+        if measuring:
+            self.offered += arrived
+            self.forwarded += forwarded
+        return grants

@@ -44,23 +44,55 @@ class OutputBufferedSwitch:
         return sum(q.dropped for q in self.queues)
 
     def step(self, slot: int, arrivals: np.ndarray) -> np.ndarray:
-        # 1. Fabric delivery: every arrival lands in its output buffer
-        #    immediately (no input-side contention).
-        for i in range(self.n):
-            dst = arrivals[i]
-            if dst != NO_ARRIVAL:
-                if self.measuring:
-                    self.offered += 1
-                self.queues[int(dst)].push(slot)
+        """Advance one time slot; returns, per output, the generation
+        slot of the packet it transmitted (-1 where it sent nothing)."""
+        return np.array(self.run_slots(slot, (arrivals,)), dtype=np.int64)
 
-        # 2. Transmission: each output link serves one packet per slot.
-        served = np.full(self.n, -1, dtype=np.int64)
-        for j, queue in enumerate(self.queues):
-            t_generated = queue.pop()
-            if t_generated is None:
-                continue
-            served[j] = t_generated
-            if self.measuring:
-                self.forwarded += 1
-                self.latency.add(slot - t_generated + 1)
+    def run_slots(self, first_slot: int, arrivals_block) -> list[int]:
+        """Advance one consecutive block of slots; returns the last
+        slot's per-output list as :meth:`step` does.
+
+        Per slot: fabric delivery — every arrival lands in its output
+        buffer at once (no input-side contention; a full buffer drops
+        it) — then transmission of one packet per output link. The loop
+        works on the output queues' deques directly.
+
+        ``measuring`` must not change mid-block —
+        :func:`repro.sim.simulator._drive` splits its blocks at the
+        warmup boundary.
+        """
+        n = self.n
+        measuring = self.measuring
+        queues = self.queues
+        out_queues = [queue._queue for queue in queues]
+        capacity = self.config.outbuf_capacity
+        latency_add = self.latency.add
+        arrived = forwarded = 0
+        served: list[int] = []
+
+        slot = first_slot
+        for arrivals in arrivals_block:
+            # 1. Fabric delivery into the output buffers.
+            for dst in arrivals.tolist():
+                if dst != NO_ARRIVAL:
+                    arrived += 1
+                    queue = out_queues[dst]
+                    if len(queue) < capacity:
+                        queue.append(slot)
+                    else:
+                        queues[dst].dropped += 1
+
+            # 2. Transmission: each output link serves one packet.
+            served = [-1] * n
+            for j, queue in enumerate(out_queues):
+                if queue:
+                    t_generated = served[j] = queue.popleft()
+                    forwarded += 1
+                    if measuring:
+                        latency_add(slot - t_generated + 1)
+            slot += 1
+
+        if measuring:
+            self.offered += arrived
+            self.forwarded += forwarded
         return served

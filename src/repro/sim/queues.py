@@ -12,7 +12,10 @@ The crossbar's fast slot loop works on ``PacketQueue._queue`` and
 ``VOQSet._queues`` (a list of rows of deques) and on the masks
 directly, so it must keep the same invariants as the methods here:
 capacity checks before every append and a mask transition whenever a
-VOQ goes 0 -> 1 or 1 -> 0 packets.
+VOQ goes 0 -> 1 or 1 -> 0 packets. The ``fifo`` and ``outbuf`` block
+loops likewise work on ``PacketQueue._queue`` and
+``OutputQueue._queue``, checking capacity and counting drops on the
+queue objects as ``push`` does.
 """
 
 from __future__ import annotations

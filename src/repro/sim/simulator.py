@@ -222,11 +222,12 @@ def _drive(
     """Run slots ``start_slot .. stop_slot-1`` through the switch.
 
     Slots are driven in blocks (split at the warmup boundary so the
-    measuring flag is constant within a block): the crossbar's
-    ``run_slots`` amortises per-slot Python dispatch the same way
-    batched traffic generators amortise arrivals. The arrival vectors
-    are still drawn one slot at a time, so the pattern's sample path —
-    and therefore every statistic — is identical to per-slot stepping.
+    measuring flag is constant within a block): every switch model
+    :func:`build_switch` returns has a ``run_slots`` block body, which
+    amortises per-slot Python dispatch the same way batched traffic
+    generators amortise arrivals. The arrival vectors are still drawn
+    one slot at a time, so the pattern's sample path — and therefore
+    every statistic — is identical to per-slot stepping.
 
     Blocks are additionally capped at ``checkpoint_every`` multiples so
     ``checkpoint_hook(slot)`` always observes a clean slot boundary:
@@ -236,7 +237,7 @@ def _drive(
 
     Returns the next slot to execute (== ``stop_slot``).
     """
-    run_block = getattr(switch, "run_slots", None)
+    run_block = switch.run_slots
     stop = config.total_slots if stop_slot is None else stop_slot
     slot = start_slot
     while slot < stop:
@@ -249,13 +250,7 @@ def _drive(
             boundary = (slot // checkpoint_every + 1) * checkpoint_every
             if slot < boundary < end:
                 end = boundary
-        block = [pattern.arrivals() for _ in range(end - slot)]
-        if run_block is not None:
-            run_block(slot, block)
-        else:
-            # Dedicated switch models (fifo/outbuf) step one slot at a time.
-            for offset, arrivals in enumerate(block):
-                switch.step(slot + offset, arrivals)
+        run_block(slot, [pattern.arrivals() for _ in range(end - slot)])
         slot = end
         if exporter is not None:
             exporter.tick(slot - 1)

@@ -49,3 +49,24 @@ class TestMain:
         code = main(["--fidelity", "smoke", "--ports", "8", "--output", str(out)])
         assert code == 0
         assert out.read_text().startswith("# LCF reproduction report")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--ports", "0"],
+        ["--ports", "-3"],
+        ["--dashboard", "--ports", "0"],
+        ["--dashboard", "--fidelity", "smoke", "--ports", "4", "--schedulers", "nope"],
+        ["--dashboard", "--fidelity", "smoke", "--ports", "4", "--loads", "1.5"],
+        ["--dashboard", "--fidelity", "smoke", "--ports", "4", "--loads", "abc"],
+        ["--dashboard", "--fidelity", "smoke", "--ports", "4", "--probe-slots", "0"],
+        ["--dashboard", "--fidelity", "smoke", "--ports", "4", "--probe-slots", "-5"],
+    ],
+)
+def test_bad_input_exits_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lcf-report: ")

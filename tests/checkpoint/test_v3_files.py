@@ -9,6 +9,13 @@ checkpoint whose stage plan asks for delay is refused too.
 
 Word-tuple copies of the request masks (``row_words``/``col_words``,
 written past 64 ports by an earlier VOQ set) are inert on restore.
+
+``checkpoint_v4_wfront.json`` pauses a plain ``wfront`` run (n=8, seed 7,
+load 0.9, 20+100 slots, at slot 60) written before the wavefront arbiter
+had a bitset kernel: its scheduler is a ``WrappedWaveFront`` and its
+switch never took the fast loop. It resumes onto
+:class:`~repro.fastpath.wavefront.FastWrappedWaveFront` and the fast
+loop, to the uninterrupted run's row.
 """
 
 from __future__ import annotations
@@ -21,12 +28,15 @@ import pytest
 from repro.checkpoint import CheckpointError, load_checkpoint, resume_simulation
 from repro.checkpoint.format import save_checkpoint
 from repro.fabric import FabricSpec, resume_fabric, run_fabric
+from repro.fastpath.wavefront import FastWrappedWaveFront
 from repro.faults import FaultPlan
+from repro.sim import simulator
 from repro.sim.config import SimConfig
 from repro.sim.simulator import run_simulation
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 DELAY = DATA / "checkpoint_v3_delay.json"
+WFRONT = DATA / "checkpoint_v4_wfront.json"
 
 CHECKPOINT_CLIS = ["repro.obs.cli", "repro.faults.cli", "repro.adapt.cli"]
 
@@ -80,3 +90,26 @@ def test_wide_file_with_word_tuples_resumes_to_the_uninterrupted_result(tmp_path
     save_checkpoint(path, payload)
     resumed = resume_simulation(path, checkpoint_path=tmp_path / "resumed.ckpt")
     assert resumed.row() == straight.row()
+
+
+def test_reference_wfront_file_resumes_onto_the_kernel(tmp_path, monkeypatch):
+    payload = load_checkpoint(WFRONT)
+    stored = payload["state"]["switch"]
+    assert stored["scheduler"]["cls"] == "WrappedWaveFront"
+    assert stored["_fast_slot"] is False
+    config = SimConfig(**payload["run"]["config"])
+    straight = run_simulation(config, "wfront", payload["run"]["load"])
+
+    built = []
+    build_switch = simulator.build_switch
+
+    def recording_build_switch(*args, **kwargs):
+        built.append(build_switch(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(simulator, "build_switch", recording_build_switch)
+    resumed = resume_simulation(WFRONT, checkpoint_path=tmp_path / "resumed.ckpt")
+    assert resumed.row() == straight.row()
+    (switch,) = built
+    assert type(switch.scheduler) is FastWrappedWaveFront
+    assert switch._fast_slot

@@ -69,6 +69,8 @@ class TestKernelEquivalence:
         if name in ("islip", "lcf_dist", "lcf_dist_rr"):
             for ref_ptr, fast_ptr in zip(reference.pointers, fast.pointers):
                 assert np.array_equal(ref_ptr, fast_ptr)
+        if name == "wfront":
+            assert fast.offset == reference.offset
 
     @pytest.mark.parametrize("name", ["lcf_central", "lcf_central_rr"])
     @given(run=matrix_runs(min_n=2, max_n=6, max_len=6))
@@ -208,6 +210,17 @@ class TestWordBoundaryEquivalence:
         for _ in range(3):
             matrix = rng.random((n, n)) < rng.uniform(0.1, 0.9)
             assert np.array_equal(reference.schedule(matrix), fast.schedule(matrix))
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 128])
+    def test_wavefront_sequence_bit_identical_at_word_boundaries(self, n):
+        # The wave rotations straddle the word edge; a 50-matrix run
+        # walks the starting diagonal through most of its n positions.
+        rng = np.random.default_rng(n)
+        reference, fast = make_pair("wfront", n)
+        for _ in range(50):
+            matrix = rng.random((n, n)) < rng.uniform(0.05, 0.95)
+            assert np.array_equal(reference.schedule(matrix), fast.schedule(matrix))
+            assert fast.offset == reference.offset
 
     @pytest.mark.parametrize("name", ["lcf_dist", "lcf_dist_rr"])
     def test_distributed_traces_bit_identical_across_the_boundary(self, name):

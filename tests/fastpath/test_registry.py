@@ -13,6 +13,7 @@ from repro.fastpath.registry import (
     has_fast_kernel,
     make_fast_scheduler,
 )
+from repro.fastpath.wavefront import FastWrappedWaveFront
 
 
 def test_fast_names_are_a_subset_of_the_registry():
@@ -28,6 +29,7 @@ def test_fast_schedulers_lists_the_kernels_sorted():
         "lcf_dist",
         "lcf_dist_rr",
         "pim",
+        "wfront",
     }
 
 
@@ -40,6 +42,7 @@ def test_fast_schedulers_lists_the_kernels_sorted():
         ("lcf_dist_rr", FastLCFDistributedRR),
         ("islip", FastISLIP),
         ("pim", FastPIM),
+        ("wfront", FastWrappedWaveFront),
     ],
 )
 def test_covered_names_resolve_to_bitset_kernels(name, cls):
@@ -51,7 +54,7 @@ def test_covered_names_resolve_to_bitset_kernels(name, cls):
     assert scheduler.name == make_scheduler(name, 8).name
 
 
-@pytest.mark.parametrize("name", ["lqf", "wfront", "ocf"])
+@pytest.mark.parametrize("name", ["lqf", "greedy", "ocf"])
 def test_uncovered_names_fall_back_to_the_reference(name):
     assert not has_fast_kernel(name)
     fast = make_fast_scheduler(name, 4)
