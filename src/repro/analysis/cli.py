@@ -29,6 +29,7 @@ from repro.analysis.sweep import (
 from repro.analysis.tables import format_table
 from repro.baselines.registry import PAPER_SCHEDULERS, available_schedulers
 from repro.sim.config import SimConfig
+from repro.traffic.base import make_traffic
 
 
 def _parse_loads(text: str) -> tuple[float, ...]:
@@ -150,8 +151,17 @@ def main(argv: list[str] | None = None) -> int:
             traffic_kwargs=_parse_traffic_args(args.traffic_arg),
             replicates=args.replicates,
         )
-    except ValueError as exc:
-        parser.exit(2, f"lcf-sweep: {exc}\n")
+        # The pattern's own constructor judges its name and arguments.
+        make_traffic(
+            spec.traffic,
+            spec.config.n_ports,
+            spec.loads[0],
+            seed=spec.config.seed,
+            **dict(spec.traffic_kwargs),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        parser.exit(2, f"lcf-sweep: {message}\n")
     sweep = run_sweep(
         spec,
         processes=args.workers,

@@ -47,6 +47,11 @@ __all__ = ["make_run_spec", "capture_payload", "resume_simulation"]
 #: The ``kind`` tag single-switch simulation payloads carry.
 SIMULATION_KIND = "simulation"
 
+#: Pattern fields older files carry that are no longer run state: the
+#: retired ``BernoulliUniform(batch=...)`` knob and its pre-drawn slots,
+#: which a ``batch=1`` pattern leaves empty at every slot boundary.
+_RETIRED_PATTERN_ATTRS = ("batch", "_pending")
+
 
 def _spec_pairs(spec) -> list | None:
     """``to_spec()`` output as JSON-safe ``[key, value]`` pairs."""
@@ -194,13 +199,19 @@ def resume_simulation(
     start_slot = int(payload["slot"])
 
     config = SimConfig(**run["config"])
-    pattern = make_traffic(
-        run["traffic"],
-        config.n_ports,
-        run["load"],
-        seed=config.seed,
-        **run["traffic_kwargs"],
-    )
+    try:
+        pattern = make_traffic(
+            run["traffic"],
+            config.n_ports,
+            run["load"],
+            seed=config.seed,
+            **run["traffic_kwargs"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"checkpoint {path} holds traffic this version cannot "
+            f"rebuild: {exc.args[0] if exc.args else exc}"
+        ) from None
 
     injector = None
     if run["faults"] is not None:
@@ -252,7 +263,7 @@ def resume_simulation(
         admission=admission,
     )
 
-    restore_state(pattern, state["pattern"])
+    restore_state(pattern, state["pattern"], skip=_RETIRED_PATTERN_ATTRS)
     # Whether the crossbar may take its fast loop is a probe of the
     # rebuilt switch, not run state: a file written before a scheduler
     # had a bitset kernel resumes on that kernel's loop.

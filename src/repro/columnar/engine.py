@@ -17,7 +17,9 @@ serial :func:`repro.sim.simulator.run_simulation` with that replicate's
 seed. Two design points make this exact rather than approximate:
 
 * each replicate owns its serial :class:`~repro.traffic.TrafficPattern`
-  instance, called once per slot, so the RNG sample path cannot differ;
+  instance and draws one ``arrivals_block`` per ``_SLOT_BLOCK`` slots —
+  exactly the per-slot arrivals, ending at the per-slot stream
+  position — so the RNG sample path cannot differ;
 * latency is a histogram of integer delays, and counting does not
   depend on order: the engine logs each slot's delays and adds them to
   per-replicate counts with one ``np.bincount`` per batched flush.
@@ -39,7 +41,7 @@ from repro.columnar.bitpack import pack_requests
 from repro.columnar.kernels import ColumnarKernel, make_columnar_kernel
 from repro.sim.config import SimConfig
 from repro.obs.estimators import DelayHistogram
-from repro.sim.simulator import SimResult, latency_fields
+from repro.sim.simulator import _SLOT_BLOCK, SimResult, latency_fields
 from repro.traffic.base import NO_ARRIVAL, make_traffic
 from repro.types import NO_GRANT
 
@@ -154,7 +156,6 @@ class ColumnarEngine:
         self._chunk_flat: list[np.ndarray] = []
         self._chunk_count = 0
 
-        self._arr = np.empty((reps, n), dtype=np.int64)
         # Fail fast when even the shallow initial buffers exceed the
         # ceiling — callers fall back before simulating a single slot.
         self._check_budget(0)
@@ -217,12 +218,13 @@ class ColumnarEngine:
 
     # -- slot pipeline ------------------------------------------------
 
-    def _slot(self, slot: int) -> None:
+    def _slot(self, slot: int, arr: np.ndarray | None = None) -> None:
+        """Advance every replicate one slot; ``arr`` is the ``(R, n)``
+        arrival matrix, drawn here from the patterns when omitted."""
         n = self._n
         measuring = self.measuring
-        arr = self._arr
-        for r, pattern in enumerate(self.patterns):
-            arr[r] = pattern.arrivals()
+        if arr is None:
+            arr = np.array([pattern.arrivals() for pattern in self.patterns])
 
         # 1. Generation into PQs (drop when full, count drops always,
         #    count offered only while measuring — the serial stage 1).
@@ -338,11 +340,17 @@ class ColumnarEngine:
         :class:`~repro.sim.simulator.SimResult` per seed, in seed order."""
         config = self.config
         warmup = config.warmup_slots
-        for slot in range(config.total_slots):
-            if slot == warmup:
-                self.measuring = True
-            self._slot(slot)
-            if self._chunk_count >= _FLUSH_SAMPLES:
-                self._flush()
+        total = config.total_slots
+        for first in range(0, total, _SLOT_BLOCK):
+            k = min(_SLOT_BLOCK, total - first)
+            # (k, R, n): row t is slot first + t's arrival matrix.
+            block = np.stack([p.arrivals_block(k) for p in self.patterns], axis=1)
+            for t in range(k):
+                slot = first + t
+                if slot == warmup:
+                    self.measuring = True
+                self._slot(slot, block[t])
+                if self._chunk_count >= _FLUSH_SAMPLES:
+                    self._flush()
         self._flush()
         return [self._package(r) for r in range(self._reps)]

@@ -7,12 +7,20 @@ exactly one bounded ``rng.integers(0, len)`` draw (verified by
 integer from the same generator and walks to the ``k``-th set bit of
 the candidate mask — the random *stream* is consumed identically, so
 fast and reference PIM agree grant for grant, forever.
+
+The draws of one :meth:`FastPIM.schedule_masks` call are decoded from
+raw PCG64 blocks (:func:`repro.rawdraw.bounded_draws`) rather than made
+one ``integers`` call at a time; the call ends by setting the generator
+to exactly the position the ``integers`` calls would leave. When the
+decoder failed its one-time check against numpy, the draws are the
+``integers`` calls themselves.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import rawdraw
 from repro.core.base import IterativeScheduler
 from repro.fastpath.bitops import derive_cols
 from repro.fastpath.kernel import BitmaskKernelMixin
@@ -48,15 +56,16 @@ class FastPIM(BitmaskKernelMixin, IterativeScheduler):
         if cols is None:
             cols = derive_cols(rows, n)
         full = (1 << n) - 1
-        integers = self._rng.integers
+        # n words hold the 2n halves a first iteration can draw at most.
+        draw, settle = rawdraw.bounded_draws(self._rng, n + 8)
         schedule = [NO_GRANT] * n
         in_free = full
         out_free = full
 
         for _ in range(self.iterations):
             # Grant step: each unmatched output picks uniformly among
-            # its live requesters. The draw happens even for a single
-            # candidate — the reference consumes the stream there too.
+            # its live requesters. A single candidate draws nothing:
+            # numpy returns ``low`` for a range of 1.
             offers = [0] * n
             granted_inputs = 0
             remaining = out_free
@@ -66,7 +75,7 @@ class FastPIM(BitmaskKernelMixin, IterativeScheduler):
                 cand = cols[out_bit.bit_length() - 1] & in_free
                 if not cand:
                     continue
-                k = int(integers(0, cand.bit_count()))
+                k = draw(cand.bit_count())
                 for _ in range(k):
                     cand &= cand - 1
                 winner = (cand & -cand).bit_length() - 1
@@ -81,11 +90,12 @@ class FastPIM(BitmaskKernelMixin, IterativeScheduler):
                 granted_inputs ^= in_bit
                 i = in_bit.bit_length() - 1
                 mask = offers[i]
-                k = int(integers(0, mask.bit_count()))
+                k = draw(mask.bit_count())
                 for _ in range(k):
                     mask &= mask - 1
                 j = (mask & -mask).bit_length() - 1
                 schedule[i] = j
                 in_free &= ~in_bit
                 out_free &= ~(1 << j)
+        settle()
         return schedule

@@ -224,10 +224,12 @@ def _drive(
     Slots are driven in blocks (split at the warmup boundary so the
     measuring flag is constant within a block): every switch model
     :func:`build_switch` returns has a ``run_slots`` block body, which
-    amortises per-slot Python dispatch the same way batched traffic
-    generators amortise arrivals. The arrival vectors are still drawn
-    one slot at a time, so the pattern's sample path — and therefore
-    every statistic — is identical to per-slot stepping.
+    amortises per-slot Python dispatch, and each block's arrivals come
+    from one :meth:`~repro.traffic.base.TrafficPattern.arrivals_block`
+    call. That call returns exactly what per-slot ``arrivals()`` calls
+    return and leaves the generator where they leave it, so the sample
+    path — and therefore every statistic, and every checkpoint taken
+    at a block boundary — is identical to per-slot stepping.
 
     Blocks are additionally capped at ``checkpoint_every`` multiples so
     ``checkpoint_hook(slot)`` always observes a clean slot boundary:
@@ -250,7 +252,7 @@ def _drive(
             boundary = (slot // checkpoint_every + 1) * checkpoint_every
             if slot < boundary < end:
                 end = boundary
-        run_block(slot, [pattern.arrivals() for _ in range(end - slot)])
+        run_block(slot, pattern.arrivals_block(end - slot))
         slot = end
         if exporter is not None:
             exporter.tick(slot - 1)

@@ -6,20 +6,23 @@ send to themselves in simulation, and so may ours — ``self_traffic``
 can be disabled to model the ``n-1``-queue variant mentioned in
 Section 2).
 
-Arrivals are drawn in chunks of ``batch`` slots with one vectorised
-generator call per variate, which amortises numpy dispatch overhead
-over the whole chunk. The default ``batch=1`` consumes the random
-stream exactly like the historical per-slot implementation (PCG64
-fills a ``(1, n)`` request the same way as an ``(n,)`` one —
-regression-tested), so golden traces, sweep cache keys and seeded
-experiments are unaffected; larger batches are an explicit opt-in to a
-*different but equally valid* sample path.
+:meth:`BernoulliUniform.arrivals` draws one slot: ``random(n)`` for the
+arrival coin flips, then ``integers(0, n, size=n)`` for the
+destinations. :meth:`BernoulliUniform.arrivals_block` returns exactly
+what ``k`` such calls return, and leaves the generator exactly where
+they leave it, but decodes the whole block from one raw PCG64 draw
+(:func:`repro.rawdraw.bernoulli_block`). It draws per slot instead —
+from the same state, so the sample path is the same either way — when
+``n`` is odd, ``self_traffic`` is off, the generator holds a buffered
+32-bit half, the block holds a destination draw numpy would redraw, or
+the decoder failed its one-time check against numpy's own draws.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import rawdraw
 from repro.traffic.base import NO_ARRIVAL, TrafficPattern
 
 
@@ -34,39 +37,31 @@ class BernoulliUniform(TrafficPattern):
         load: float,
         seed: int = 0,
         self_traffic: bool = True,
-        batch: int = 1,
     ):
         super().__init__(n, load, seed)
         self.self_traffic = self_traffic
         if not self_traffic and n < 2:
             raise ValueError("self_traffic=False needs at least 2 ports")
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        self.batch = batch
-        #: Pre-drawn destination vectors, popped newest-last (reversed
-        #: slot order so ``pop()`` is O(1)).
-        self._pending: list[np.ndarray] = []
-
-    def reset(self) -> None:
-        super().reset()
-        self._pending.clear()
 
     def arrivals(self) -> np.ndarray:
-        if not self._pending:
-            self._refill()
-        return self._pending.pop()
-
-    def _refill(self) -> None:
-        batch, n = self.batch, self.n
-        active = self.rng.random((batch, n)) < self.load
-        dst = self.rng.integers(0, n, size=(batch, n))
+        n = self.n
+        active = self.rng.random(n) < self.load
+        dst = self.rng.integers(0, n, size=n)
         if not self.self_traffic:
             # Redraw destinations uniformly over the other n-1 ports by
             # shifting: pick an offset in [1, n-1] from self.
-            offsets = self.rng.integers(1, n, size=(batch, n))
+            offsets = self.rng.integers(1, n, size=n)
             dst = (np.arange(n) + offsets) % n
-        chunk = np.where(active, dst, NO_ARRIVAL).astype(np.int64)
-        self._pending = [chunk[k] for k in range(batch - 1, -1, -1)]
+        return np.where(active, dst, NO_ARRIVAL)
+
+    def arrivals_block(self, k: int) -> np.ndarray:
+        bit_generator = self.rng.bit_generator
+        if self.self_traffic and rawdraw.decodable(bit_generator):
+            decoded = rawdraw.bernoulli_block(bit_generator, self.n, self.load, k)
+            if decoded is not None:
+                active, dst = decoded
+                return np.where(active, dst, NO_ARRIVAL)
+        return super().arrivals_block(k)
 
     def rate_matrix(self) -> np.ndarray:
         if self.self_traffic:

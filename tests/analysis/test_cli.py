@@ -81,6 +81,11 @@ class TestBadInput:
             ["--schedulers", "nope"],
             ["--ports", "0"],
             ["--traffic-arg", "foo"],
+            ["--traffic", "nope"],
+            ["--traffic-arg", "bogus=1"],
+            ["--traffic-arg", "batch=0"],
+            ["--traffic-arg", "batch=4"],
+            ["--traffic", "hotspot", "--traffic-arg", "fraction=2"],
         ],
     )
     def test_exits_2_with_one_stderr_line(self, argv, capsys):

@@ -67,12 +67,8 @@ def test_golden_resumes_to_completion(tmp_path):
     assert result.shed >= 0
 
 
-def test_v4_file_with_occupancy_mirror_resumes_to_the_uninterrupted_row(tmp_path):
-    # The mirror is restored as an attribute nothing reads: the deques
-    # and masks it duplicated carry the whole queue state.
-    import shutil
-
-    from repro.checkpoint import resume_simulation
+def _pinned_row():
+    """The pinned run's row, uninterrupted."""
     from repro.obs.metrics import MetricsRegistry
     from repro.sim.config import SimConfig
     from repro.sim.simulator import run_simulation
@@ -84,7 +80,7 @@ def test_v4_file_with_occupancy_mirror_resumes_to_the_uninterrupted_row(tmp_path
         measure_slots=tool.MEASURE,
         seed=tool.SEED,
     )
-    straight = run_simulation(
+    return run_simulation(
         config,
         tool.SCHEDULER,
         tool.LOAD,
@@ -92,11 +88,34 @@ def test_v4_file_with_occupancy_mirror_resumes_to_the_uninterrupted_row(tmp_path
         adapter=tool.ADAPT_SPEC,
         admission=tool.ADMISSION,
         metrics=MetricsRegistry(),
-    )
+    ).row()
+
+
+def test_golden_resumes_to_the_uninterrupted_row(tmp_path):
+    import shutil
+
+    from repro.checkpoint import resume_simulation
+    from repro.obs.metrics import MetricsRegistry
+
+    working = tmp_path / "golden.ckpt"
+    shutil.copy(GOLDEN, working)
+    resumed = resume_simulation(working, metrics=MetricsRegistry())
+    assert resumed.row() == _pinned_row()
+
+
+def test_v4_file_with_occupancy_mirror_resumes_to_the_uninterrupted_row(tmp_path):
+    # The mirror is restored as an attribute nothing reads: the deques
+    # and masks it duplicated carry the whole queue state. The file's
+    # pattern also carries the retired ``batch``/``_pending`` fields.
+    import shutil
+
+    from repro.checkpoint import resume_simulation
+    from repro.obs.metrics import MetricsRegistry
+
     working = tmp_path / "v4_mirror.ckpt"
     shutil.copy(V4_MIRROR, working)
     resumed = resume_simulation(working, metrics=MetricsRegistry())
-    assert resumed.row() == straight.row()
+    assert resumed.row() == _pinned_row()
 
 
 def test_divergence_reports_diff(tmp_path, capsys, monkeypatch):

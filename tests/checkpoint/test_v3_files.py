@@ -16,6 +16,10 @@ had a bitset kernel: its scheduler is a ``WrappedWaveFront`` and its
 switch never took the fast loop. It resumes onto
 :class:`~repro.fastpath.wavefront.FastWrappedWaveFront` and the fast
 loop, to the uninterrupted run's row.
+
+Version-4 files written while ``BernoulliUniform`` had a ``batch`` knob
+carry its ``batch`` and ``_pending`` fields; resume skips both. A file
+whose traffic arguments no longer build a pattern is refused.
 """
 
 from __future__ import annotations
@@ -113,3 +117,30 @@ def test_reference_wfront_file_resumes_onto_the_kernel(tmp_path, monkeypatch):
     (switch,) = built
     assert type(switch.scheduler) is FastWrappedWaveFront
     assert switch._fast_slot
+
+
+@pytest.mark.parametrize("name", ["checkpoint_v4_wfront.json", "checkpoint_v4_mirror.json"])
+def test_retired_batch_fields_are_skipped_on_resume(name, tmp_path, monkeypatch):
+    from repro.traffic import base
+
+    assert {"batch", "_pending"} <= set(load_checkpoint(DATA / name)["state"]["pattern"])
+    patterns = []
+    make_traffic = base.make_traffic
+
+    def recording_make_traffic(*args, **kwargs):
+        patterns.append(make_traffic(*args, **kwargs))
+        return patterns[-1]
+
+    monkeypatch.setattr(base, "make_traffic", recording_make_traffic)
+    resume_simulation(DATA / name, checkpoint_path=tmp_path / "resumed.ckpt")
+    (pattern,) = patterns
+    assert not hasattr(pattern, "batch") and not hasattr(pattern, "_pending")
+
+
+def test_file_whose_traffic_no_longer_builds_is_rejected(tmp_path):
+    payload = load_checkpoint(WFRONT)
+    payload["run"]["traffic_kwargs"] = {"batch": 4}
+    path = tmp_path / "batched.ckpt"
+    save_checkpoint(path, payload)
+    with pytest.raises(CheckpointError, match="traffic this version cannot rebuild"):
+        resume_simulation(path)

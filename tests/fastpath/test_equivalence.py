@@ -64,6 +64,8 @@ class TestKernelEquivalence:
             # The fast entry point skips the defensive copy; it must
             # still leave the caller's matrix untouched.
             assert (copy == matrix).all()
+            if name == "pim":
+                assert fast._rng.bit_generator.state == reference._rng.bit_generator.state
         if name in ("lcf_central", "lcf_central_rr"):
             assert fast.rr_offsets == reference.rr_offsets
         if name in ("islip", "lcf_dist", "lcf_dist_rr"):
@@ -221,6 +223,20 @@ class TestWordBoundaryEquivalence:
             matrix = rng.random((n, n)) < rng.uniform(0.05, 0.95)
             assert np.array_equal(reference.schedule(matrix), fast.schedule(matrix))
             assert fast.offset == reference.offset
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 17, 64, 65, 128])
+    def test_pim_stream_position_after_every_call(self, n):
+        # FastPIM decodes a call's draws from raw PCG64 blocks, then
+        # sets the generator where the reference's per-draw calls leave
+        # it — buffered 32-bit half included. A checkpoint taken after
+        # any call depends on that.
+        rng = np.random.default_rng(n)
+        reference, fast = make_pair("pim", n)
+        for density in (0.05, 0.3, 0.9):
+            for _ in range(6):
+                matrix = rng.random((n, n)) < density
+                assert np.array_equal(reference.schedule(matrix), fast.schedule(matrix))
+                assert fast._rng.bit_generator.state == reference._rng.bit_generator.state
 
     @pytest.mark.parametrize("name", ["lcf_dist", "lcf_dist_rr"])
     def test_distributed_traces_bit_identical_across_the_boundary(self, name):
