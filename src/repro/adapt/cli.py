@@ -27,17 +27,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
+from repro import cli
 from repro.adapt.adapter import AdaptiveLCF, ObliviousAdapter
 from repro.adapt.config import AdaptConfig
-from repro.baselines.registry import SPECIAL_SWITCH_NAMES, available_schedulers
-from repro.faults.cli import (
-    _build_plan,
-    _parse_grid,
-    _parse_link_down,
-    _parse_port_down,
-    validate_common_args,
-)
 from repro.faults.harness import DEFAULT_AVAILABILITY_GRID, run_adaptive_sweep
 from repro.ioutil import atomic_write_text
 from repro.obs.metrics import MetricsRegistry
@@ -52,30 +46,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fault-reactive scheduling runs and reactive-vs-oblivious "
         "degradation curves (LCF reproduction).",
     )
-    parser.add_argument("--scheduler", default="lcf_central_rr",
-                        help="scheduler for single-run mode "
-                        f"({', '.join(available_schedulers())})")
+    cli.add_run_options(parser)
     parser.add_argument("--schedulers", default=None,
                         help="comma list for grid mode "
                         "(default: lcf_central_rr,lcf_dist_rr)")
-    parser.add_argument("--load", type=float, default=0.8)
-    parser.add_argument("--ports", type=int, default=16)
-    parser.add_argument("--slots", type=int, default=1000,
-                        help="measured slots")
-    parser.add_argument("--warmup", type=int, default=200)
-    parser.add_argument("--iterations", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--traffic", default="bernoulli")
     # Fault plan (single-run mode) — same flags as lcf-faults.
-    parser.add_argument("--port-down", action="append", default=[],
-                        type=_parse_port_down, metavar="P:START:END[:SIDE]",
-                        help="port outage interval (repeatable)")
-    parser.add_argument("--link-down", action="append", default=[],
-                        type=_parse_link_down, metavar="I:J:START:END",
-                        help="single-crosspoint outage (repeatable)")
-    parser.add_argument("--availability", type=float, default=None,
-                        help="duty-cycled outages averaging this availability "
-                        "(default 0.9 when no other fault flag is given)")
+    cli.add_fault_options(
+        parser, availability_help="duty-cycled outages averaging this "
+        "availability (default 0.9 when no other fault flag is given)",
+    )
     # Reaction parameters (see repro.adapt.AdaptConfig).
     parser.add_argument("--mode", default="count", choices=("count", "ewma"),
                         help="evidence accumulator")
@@ -94,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--suspect-threshold", type=float, default=None)
     parser.add_argument("--readmit-threshold", type=float, default=None)
     # Grid mode.
-    parser.add_argument("--availability-grid", type=_parse_grid, default=None,
+    parser.add_argument("--availability-grid", type=cli.parse_grid, default=None,
                         metavar="A0,A1,...",
                         help="compare stances over these availabilities (e.g. "
                         f"{','.join(str(x) for x in DEFAULT_AVAILABILITY_GRID)})")
@@ -102,14 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--cache-dir", default=None)
     # Checkpointing (single-run mode; applies to the adaptive run).
-    parser.add_argument("--checkpoint", metavar="PATH", default=None,
-                        help="single-run mode: checkpoint the adaptive run's "
-                        "state here (estimator health tables included)")
-    parser.add_argument("--checkpoint-every", metavar="N", type=int, default=None,
-                        help="checkpoint cadence in slots (with --checkpoint)")
-    parser.add_argument("--resume", metavar="PATH", default=None,
-                        help="resume a checkpointed adaptive run; the "
-                        "oblivious baseline is re-run fresh for comparison")
+    cli.add_checkpoint_options(
+        parser,
+        checkpoint_help="single-run mode: checkpoint the adaptive run's "
+        "state here (estimator health tables included)",
+        resume_help="resume a checkpointed adaptive run; the "
+        "oblivious baseline is re-run fresh for comparison",
+    )
     # Artifacts.
     parser.add_argument("--trace-out", metavar="PATH", default=None,
                         help="single-run mode: write the adaptive run's "
@@ -136,31 +114,39 @@ def _build_config(args: argparse.Namespace) -> AdaptConfig:
         "suspect_threshold": args.suspect_threshold,
         "readmit_threshold": args.readmit_threshold,
     }
-    return AdaptConfig(**{k: v for k, v in fields.items() if v is not None})
+    with cli.naming("invalid reaction config"):
+        return AdaptConfig(**{k: v for k, v in fields.items() if v is not None})
 
 
-def _single_run(args: argparse.Namespace, adapt: AdaptConfig) -> int:
-    if args.scheduler in SPECIAL_SWITCH_NAMES:
-        print(f"lcf-adapt: {args.scheduler!r} uses a dedicated switch model "
-              "without adaptive support", file=sys.stderr)
-        return 2
+#: Why the dedicated fifo/outbuf switch models are refused.
+_REFUSE = "without adaptive support"
+
+
+def build(args: argparse.Namespace):
+    """Judge the invocation and return the run it names."""
+    cli.check_schedulers("--scheduler", (args.scheduler,), refuse=_REFUSE)
     if args.availability is None and not args.port_down and not args.link_down:
         args.availability = 0.9  # something must fail, or there is nothing to react to
-    args.loss = 0.0
-    try:
-        plan = _build_plan(args)
-    except ValueError as exc:
-        print(f"lcf-adapt: invalid fault plan: {exc}", file=sys.stderr)
-        return 2
-    config = SimConfig(
-        n_ports=args.ports,
-        iterations=args.iterations,
-        warmup_slots=args.warmup,
-        measure_slots=args.slots,
-        seed=args.seed,
+    options = cli.check_options(args)
+    adapt = _build_config(args)
+    if args.resume:
+        return partial(_resume, args, options.resumed["run"])
+    if args.availability_grid is None:
+        return partial(_single_run, args, options, adapt)
+    schedulers = cli.check_schedulers(
+        "--schedulers",
+        (args.schedulers or "lcf_central_rr,lcf_dist_rr").split(","),
+        refuse=_REFUSE,
     )
+    return partial(_grid, args, options, adapt, schedulers)
+
+
+def _single_run(
+    args: argparse.Namespace, options: cli.Options, adapt: AdaptConfig
+) -> int:
+    plan = options.plan
     blind = run_simulation(
-        config, args.scheduler, args.load, traffic=args.traffic,
+        options.config, args.scheduler, args.load, traffic=args.traffic,
         faults=plan, adapter=ObliviousAdapter(),
     )
     tracer = (
@@ -170,7 +156,7 @@ def _single_run(args: argparse.Namespace, adapt: AdaptConfig) -> int:
     adapter = AdaptiveLCF(adapt)
     with tracer:
         reactive = run_simulation(
-            config, args.scheduler, args.load, traffic=args.traffic,
+            options.config, args.scheduler, args.load, traffic=args.traffic,
             tracer=tracer, metrics=metrics, faults=plan, adapter=adapter,
             checkpoint_path=args.checkpoint,
             checkpoint_every=args.checkpoint_every,
@@ -217,26 +203,14 @@ def _single_run(args: argparse.Namespace, adapt: AdaptConfig) -> int:
     return 0
 
 
-def _resume(args: argparse.Namespace) -> int:
+def _resume(args: argparse.Namespace, run: dict) -> int:
     """Resume the adaptive half of a checkpointed comparison.
 
     The checkpoint's stored run spec rebuilds the oblivious baseline
     from scratch (it is cheap and deterministic), while the adaptive
     run — estimator health tables and all — continues from the file.
     """
-    from repro.checkpoint import CheckpointError, load_checkpoint, resume_simulation
-
-    tracer = JsonlTracer(args.trace_out) if args.trace_out else None
-    metrics = MetricsRegistry()
-    try:
-        run = load_checkpoint(args.resume)["run"]
-        reactive = resume_simulation(args.resume, tracer=tracer, metrics=metrics)
-    except CheckpointError as exc:
-        print(f"lcf-adapt: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if tracer is not None:
-            tracer.close()
+    reactive, _, _ = cli.resume(args, args.trace_out)
     blind = run_simulation(
         SimConfig(**run["config"]), run["scheduler"], run["load"],
         traffic=run["traffic"], traffic_kwargs=run["traffic_kwargs"],
@@ -271,38 +245,21 @@ def _resume(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid(args: argparse.Namespace, adapt: AdaptConfig) -> int:
-    schedulers = tuple(
-        (args.schedulers or "lcf_central_rr,lcf_dist_rr").split(",")
+def _grid(
+    args: argparse.Namespace, options: cli.Options, adapt: AdaptConfig, schedulers
+) -> int:
+    report = run_adaptive_sweep(
+        schedulers,
+        availabilities=args.availability_grid,
+        load=args.load,
+        config=options.config,
+        adapt=adapt,
+        traffic=args.traffic,
+        replicates=args.replicates,
+        processes=args.workers,
+        cache=args.cache_dir,
+        progress=not args.quiet,
     )
-    bad = [s for s in schedulers if s in SPECIAL_SWITCH_NAMES]
-    if bad:
-        print(f"lcf-adapt: {bad} use dedicated switch models without "
-              "adaptive support", file=sys.stderr)
-        return 2
-    config = SimConfig(
-        n_ports=args.ports,
-        iterations=args.iterations,
-        warmup_slots=args.warmup,
-        measure_slots=args.slots,
-        seed=args.seed,
-    )
-    try:
-        report = run_adaptive_sweep(
-            schedulers,
-            availabilities=args.availability_grid,
-            load=args.load,
-            config=config,
-            adapt=adapt,
-            traffic=args.traffic,
-            replicates=args.replicates,
-            processes=args.workers,
-            cache=args.cache_dir,
-            progress=not args.quiet,
-        )
-    except ValueError as exc:
-        print(f"lcf-adapt: {exc}", file=sys.stderr)
-        return 2
     if not args.quiet:
         print(report.summary())
     if args.csv:
@@ -331,28 +288,7 @@ def _grid(args: argparse.Namespace, adapt: AdaptConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    error = validate_common_args(args, "lcf-adapt")
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
-    try:
-        adapt = _build_config(args)
-    except ValueError as exc:
-        print(f"lcf-adapt: invalid reaction config: {exc}", file=sys.stderr)
-        return 2
-    if args.checkpoint_every is not None and not args.checkpoint:
-        print("lcf-adapt: --checkpoint-every needs --checkpoint", file=sys.stderr)
-        return 2
-    if args.resume:
-        if args.checkpoint:
-            print("lcf-adapt: --resume and --checkpoint are mutually "
-                  "exclusive", file=sys.stderr)
-            return 2
-        return _resume(args)
-    if args.availability_grid is not None:
-        return _grid(args, adapt)
-    return _single_run(args, adapt)
+    return cli.run_main(build_parser(), build, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -64,6 +64,10 @@ class HealthEstimator:
     decides identically.
     """
 
+    #: Metric handles a registry brings (``None`` without one); a
+    #: checkpoint restore keeps the rebuilt estimator's.
+    _restore_keeps = ("_m_suspects", "_m_probes", "_m_readmits")
+
     def __init__(
         self,
         n: int,

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
+from repro import cli
 from repro.analysis.sweep import (
     PAPER_LOADS,
     SweepSpec,
@@ -28,8 +30,6 @@ from repro.analysis.sweep import (
 )
 from repro.analysis.tables import format_table
 from repro.baselines.registry import PAPER_SCHEDULERS, available_schedulers
-from repro.sim.config import SimConfig
-from repro.traffic.base import make_traffic
 
 
 def _parse_loads(text: str) -> tuple[float, ...]:
@@ -121,47 +121,29 @@ def _parse_traffic_args(pairs: list[str]) -> tuple[tuple[str, object], ...]:
     return tuple(parsed)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def build(args: argparse.Namespace):
+    """Judge the invocation and return the sweep it names."""
     schedulers = tuple(args.schedulers.split(","))
     loads = args.loads or (PAPER_LOADS if args.paper else (0.3, 0.6, 0.8, 0.9, 0.95))
     if args.relative and "outbuf" not in schedulers:
         schedulers = schedulers + ("outbuf",)
+    cli.check_schedulers("--schedulers", schedulers, also=("outbuf",))
+    traffic_kwargs = _parse_traffic_args(args.traffic_arg)
+    options = cli.check_options(
+        args, traffic_load=loads[0], traffic_kwargs=dict(traffic_kwargs)
+    )
+    spec = SweepSpec(
+        schedulers=schedulers,
+        loads=loads,
+        config=options.config,
+        traffic=args.traffic,
+        traffic_kwargs=traffic_kwargs,
+        replicates=args.replicates,
+    )
+    return partial(_run, args, spec)
 
-    # Bad input exits 2 with one line, before any point runs.
-    known = (*available_schedulers(), "outbuf")
-    unknown = [name for name in schedulers if name not in known]
-    try:
-        if unknown:
-            raise ValueError(
-                f"unknown scheduler {unknown[0]!r}; available: {', '.join(known)}"
-            )
-        spec = SweepSpec(
-            schedulers=schedulers,
-            loads=loads,
-            config=SimConfig(
-                n_ports=args.ports,
-                warmup_slots=args.warmup_slots,
-                measure_slots=args.measure_slots,
-                iterations=args.iterations,
-                seed=args.seed,
-            ),
-            traffic=args.traffic,
-            traffic_kwargs=_parse_traffic_args(args.traffic_arg),
-            replicates=args.replicates,
-        )
-        # The pattern's own constructor judges its name and arguments.
-        make_traffic(
-            spec.traffic,
-            spec.config.n_ports,
-            spec.loads[0],
-            seed=spec.config.seed,
-            **dict(spec.traffic_kwargs),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        message = exc.args[0] if isinstance(exc, KeyError) else exc
-        parser.exit(2, f"lcf-sweep: {message}\n")
+
+def _run(args: argparse.Namespace, spec: SweepSpec) -> int:
     sweep = run_sweep(
         spec,
         processes=args.workers,
@@ -187,6 +169,10 @@ def main(argv: list[str] | None = None) -> int:
         print()
         print(shape_report(check_paper_shape(sweep)))
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return cli.run_main(build_parser(), build, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
+from repro import cli
 from repro.analysis.fairness import (
     adversarial_two_flow_matrix,
     starvation_report,
@@ -55,33 +57,22 @@ def probe(name: str, n: int, cycles: int | None, adversarial: bool):
     return starvation_report(scheduler, cycles=cycles, requests=requests)
 
 
-def _input_error(args) -> str | None:
-    """What is wrong with the parsed arguments, or ``None``."""
-    if args.ports < 1:
-        return f"--ports must be >= 1, got {args.ports}"
-    if args.adversarial and args.ports < 3:
-        return f"--adversarial needs --ports >= 3, got {args.ports}"
-    if args.cycles is not None and args.cycles < 1:
-        return f"--cycles must be >= 1, got {args.cycles}"
-    if args.all:
-        return None
-    if args.scheduler == "fifo":
-        return "fifo has no request-matrix interface; pick a VOQ scheduler"
-    if args.scheduler not in available_schedulers():
-        return (
-            f"unknown scheduler {args.scheduler!r}; "
-            f"available: {', '.join(available_schedulers())}"
+def build(args: argparse.Namespace):
+    """Judge the invocation; bad input exits 2 (1 means "a pair starved")."""
+    if not args.all:
+        cli.check_schedulers(
+            "--scheduler", (args.scheduler,),
+            refuse="with no request-matrix interface; pick a VOQ scheduler",
         )
-    return None
+    cli.check_options(args)
+    if args.adversarial and args.ports < 3:
+        raise ValueError(f"--adversarial needs --ports >= 3, got {args.ports}")
+    if args.cycles is not None and args.cycles < 1:
+        raise ValueError(f"--cycles must be >= 1, got {args.cycles}")
+    return partial(_probe_all, args)
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    # Bad input exits 2 with one line (1 means "a pair starved").
-    error = _input_error(args)
-    if error is not None:
-        print(f"lcf-fairness: {error}", file=sys.stderr)
-        return 2
+def _probe_all(args: argparse.Namespace) -> int:
     names = DEFAULT_SET if args.all else (args.scheduler,)
 
     rows = []
@@ -109,6 +100,10 @@ def main(argv: list[str] | None = None) -> int:
 
     # Exit status communicates the guarantee: 0 iff nothing starved.
     return 0 if all(not r.starved_pairs for r in reports.values()) else 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    return cli.run_main(build_parser(), build, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

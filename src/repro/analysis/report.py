@@ -18,17 +18,15 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 
+from repro import cli
 from repro.analysis.fairness import starvation_report
 from repro.analysis.sweep import SweepSpec, check_paper_shape, run_sweep, shape_report
 from repro.analysis.tables import format_table
 from repro.analysis.throughput import saturation_table
 from repro.analysis.voq_dynamics import measure_voq_dynamics
-from repro.baselines.registry import (
-    PAPER_SCHEDULERS,
-    available_schedulers,
-    make_scheduler,
-)
+from repro.baselines.registry import PAPER_SCHEDULERS, make_scheduler
 from repro.hw.comm import comm_table
 from repro.hw.cost import table1
 from repro.hw.timing import table2
@@ -234,26 +232,36 @@ def run_dashboard(args) -> int:
     return 0
 
 
-def _input_error(args) -> str | None:
-    """What is wrong with the parsed arguments, or ``None``."""
-    if args.ports < 1:
-        return f"--ports must be >= 1, got {args.ports}"
+def build(args: argparse.Namespace):
+    """Judge the invocation and return the report or dashboard it names."""
+    cli.check_options(args)
     if args.probe_slots < 1:
-        return f"--probe-slots must be >= 1, got {args.probe_slots}"
+        raise ValueError(f"--probe-slots must be >= 1, got {args.probe_slots}")
     if args.schedulers:
-        known = (*available_schedulers(), "outbuf")
-        for name in args.schedulers.split(","):
-            if name not in known:
-                return f"unknown scheduler {name!r}; available: {', '.join(known)}"
-    if args.loads:
-        for part in args.loads.split(","):
-            try:
-                load = float(part)
-            except ValueError:
-                return f"--loads: {part!r} is not a number"
-            if not 0.0 < load <= 1.0:
-                return f"load {load} outside (0, 1]"
-    return None
+        cli.check_schedulers(
+            "--schedulers", args.schedulers.split(","), also=("outbuf",)
+        )
+    for part in args.loads.split(",") if args.loads else ():
+        try:
+            load = float(part)
+        except ValueError:
+            raise ValueError(f"--loads: {part!r} is not a number") from None
+        if not 0.0 < load <= 1.0:
+            raise ValueError(f"--loads: load {load} outside (0, 1]")
+    if args.dashboard:
+        return partial(run_dashboard, args)
+    return partial(_write_report, args)
+
+
+def _write_report(args: argparse.Namespace) -> int:
+    report = generate_report(args.fidelity, args.ports, args.seed)
+    if args.output:
+        with open(args.output, "w") as handle:
+            handle.write(report)
+        print(f"wrote {args.output}")
+    else:
+        print(report)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -282,22 +290,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated load override (dashboard)")
     parser.add_argument("--probe-slots", type=int, default=400,
                         help="slots per matching-quality probe run")
-    args = parser.parse_args(argv)
-    # Bad input exits 2 with one line, before anything runs.
-    error = _input_error(args)
-    if error is not None:
-        print(f"lcf-report: {error}", file=sys.stderr)
-        return 2
-    if args.dashboard:
-        return run_dashboard(args)
-    report = generate_report(args.fidelity, args.ports, args.seed)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(report)
-        print(f"wrote {args.output}")
-    else:
-        print(report)
-    return 0
+    return cli.run_main(parser, build, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -47,12 +47,6 @@ __all__ = ["make_run_spec", "capture_payload", "resume_simulation"]
 #: The ``kind`` tag single-switch simulation payloads carry.
 SIMULATION_KIND = "simulation"
 
-#: Pattern fields older files carry that are no longer run state: the
-#: retired ``BernoulliUniform(batch=...)`` knob and its pre-drawn slots,
-#: which a ``batch=1`` pattern leaves empty at every slot boundary.
-_RETIRED_PATTERN_ATTRS = ("batch", "_pending")
-
-
 def _spec_pairs(spec) -> list | None:
     """``to_spec()`` output as JSON-safe ``[key, value]`` pairs."""
     if spec is None:
@@ -263,11 +257,8 @@ def resume_simulation(
         admission=admission,
     )
 
-    restore_state(pattern, state["pattern"], skip=_RETIRED_PATTERN_ATTRS)
-    # Whether the crossbar may take its fast loop is a probe of the
-    # rebuilt switch, not run state: a file written before a scheduler
-    # had a bitset kernel resumes on that kernel's loop.
-    restore_state(switch, state["switch"], skip=("_fast_slot",))
+    restore_state(pattern, state["pattern"])
+    restore_state(switch, state["switch"])
     if metrics is not None and state["metrics"] is not None:
         restore_metrics(metrics, state["metrics"])
     if exporter is not None and exporter_state is not None:

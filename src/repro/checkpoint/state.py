@@ -37,6 +37,15 @@ Attribute names in :data:`SKIP_ATTRS` are never captured: they either
 point at wiring (``tracer``/``metrics``/``injector``) or at per-slot
 transients regenerated before anyone reads them (``last_trace``).
 
+A class lists in ``_restore_keeps`` the attributes its twin derives
+from its own wiring (the crossbar's fast-loop and observing flags, a
+kernel's ``record_trace``, the live estimators and metric handles a
+registry brings) or that older files still carry but the class no
+longer has. Files keep capturing them; a restore keeps the twin's
+value, so a resume's instrumentation is the resumer's, not the
+writer's. Only an object's captured state is restored, into the object
+the twin holds (a live estimator the writing run had).
+
 Determinism: attribute names, dict items, and set members are sorted,
 so the same state always encodes to the same JSON — the property the
 golden-format pin and checkpoint diffing rely on.
@@ -217,28 +226,37 @@ def decode_value(encoded, template=None):
     return encoded
 
 
-def snapshot_state(obj: object, skip: frozenset | set | tuple = ()) -> dict:
+def snapshot_state(obj: object) -> dict:
     """Encode every captured attribute of ``obj`` (sorted by name)."""
-    excluded = SKIP_ATTRS.union(skip)
     return {
         name: encode_value(value)
         for name, value in _attr_items(obj)
-        if name not in excluded
+        if name not in SKIP_ATTRS
     }
 
 
-def restore_state(obj: object, snapshot: dict, skip: frozenset | set | tuple = ()) -> None:
+def restore_state(obj: object, snapshot: dict) -> None:
     """Restore a :func:`snapshot_state` capture onto a fresh twin.
 
     ``obj`` must be structurally identical to the captured object —
     built by the same deterministic construction path. Nested objects
-    are mutated in place so existing references stay valid.
+    are mutated in place so existing references stay valid. The
+    attributes ``type(obj)._restore_keeps`` names keep the twin's value
+    unless the file holds an object's state and the twin an object to
+    restore it into (see the module docstring).
     """
-    excluded = SKIP_ATTRS.union(skip)
+    keeps = getattr(type(obj), "_restore_keeps", ())
     for name, encoded in snapshot.items():
-        if name in excluded:
+        if name in SKIP_ATTRS:
             continue
-        setattr(obj, name, decode_value(encoded, getattr(obj, name, None)))
+        template = getattr(obj, name, None)
+        if name in keeps and (template is None or not _is_object(encoded)):
+            continue
+        setattr(obj, name, decode_value(encoded, template))
+
+
+def _is_object(encoded) -> bool:
+    return isinstance(encoded, dict) and encoded.get(TAG) == "object"
 
 
 def snapshot_metrics(registry: MetricsRegistry) -> dict:

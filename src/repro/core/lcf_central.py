@@ -77,6 +77,10 @@ class LCFCentralVariant(Scheduler):
     the Section 3 fairness/throughput range.
     """
 
+    #: Set by the switch that observes this scheduler, never restored
+    #: from a checkpoint (``repro.checkpoint.state``).
+    _restore_keeps = ("record_trace",)
+
     def __init__(self, n: int, coverage: RRCoverage = RRCoverage.DIAGONAL):
         super().__init__(n)
         self.coverage = coverage

@@ -92,6 +92,10 @@ class LCFDistributed(IterativeScheduler):
 
     name = "lcf_dist"
 
+    #: Set by the switch that observes this scheduler, never restored
+    #: from a checkpoint (``repro.checkpoint.state``).
+    _restore_keeps = ("record_trace",)
+
     def __init__(
         self,
         n: int,

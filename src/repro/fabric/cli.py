@@ -25,7 +25,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
+from repro import cli
 from repro.fabric.spec import ROUTING_POLICIES, FabricSpec
 from repro.ioutil import atomic_write_text
 from repro.obs.tracer import JsonlTracer, RingTracer
@@ -68,13 +70,6 @@ def _parse_stage_fault(text: str) -> tuple[int, int, tuple]:
     return (stage, index, (("port_down", ((port, start, end, side),)),))
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad float grid {text!r}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lcf-fabric",
@@ -95,13 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="inter-stage boundary queue capacity")
     parser.add_argument("--link-delay", type=int, default=1,
                         help="slots per inter-stage link traversal")
-    parser.add_argument("--load", type=float, default=0.8)
-    parser.add_argument("--slots", type=int, default=2000,
-                        help="measured slots")
-    parser.add_argument("--warmup", type=int, default=200)
-    parser.add_argument("--iterations", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--traffic", default="bernoulli")
+    cli.add_run_options(parser, crossbar=False)
+    parser.set_defaults(slots=2000)
     parser.add_argument("--fault", action="append", default=[],
                         type=_parse_stage_fault,
                         metavar="S.I:PORT:START:END[:SIDE]",
@@ -115,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--percentiles", action="store_true",
                         help="collect per-packet latency percentiles")
     # Grid mode.
-    parser.add_argument("--load-grid", type=_parse_grid, default=None,
+    parser.add_argument("--load-grid", type=cli.parse_grid, default=None,
                         metavar="L0,L1,...",
                         help="one fabric run per offered load")
     # Artifacts.
@@ -129,66 +119,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def validate_args(args: argparse.Namespace, prog: str) -> str | None:
-    """CLI sanity checks; returns an error message or ``None``.
-
-    argparse types catch malformed values; this catches well-formed
-    nonsense (conflicting topology flags, zero shards, empty grids)
-    *before* any simulation runs or artifact file is opened, so a bad
-    invocation exits non-zero without side effects.
-    """
-    chosen = [
-        flag for flag, value in (
+def build(args: argparse.Namespace):
+    """Judge the invocation and return the run it names: one
+    :class:`FabricSpec` per offered load, each judged by its own
+    constructor (unknown scheduler, fault coordinates off the topology,
+    wrong scheduler count, boundary or link delay below 1)."""
+    topologies = [
+        (flag, value) for flag, value in (
             ("--topology", args.topology),
             ("--square", args.square),
             ("--single", args.single),
         ) if value is not None
     ]
-    if len(chosen) > 1:
-        return f"{prog}: choose one of {', '.join(chosen)}"
-    for flag, value in (("--square", args.square), ("--single", args.single)):
-        if value is not None and value < 1:
-            return f"{prog}: {flag} must be >= 1, got {value}"
-    if args.slots < 0:
-        return f"{prog}: --slots must be >= 0, got {args.slots}"
-    if args.warmup < 0:
-        return f"{prog}: --warmup must be >= 0, got {args.warmup}"
-    if args.seed < 0:
-        return f"{prog}: --seed must be >= 0, got {args.seed}"
-    if not 0.0 < args.load <= 1.0:
-        return f"{prog}: --load must be in (0, 1], got {args.load}"
-    if args.boundary < 1:
-        return f"{prog}: --boundary must be >= 1, got {args.boundary}"
-    if args.link_delay < 1:
-        return f"{prog}: --link-delay must be >= 1, got {args.link_delay}"
-    if args.shards < 1:
-        return f"{prog}: --shards must be >= 1, got {args.shards}"
-    if args.load_grid is not None:
-        if len(args.load_grid) == 0:
-            return f"{prog}: --load-grid was given but contains no values"
-        bad = [load for load in args.load_grid if not 0.0 < load <= 1.0]
-        if bad:
-            return f"{prog}: --load-grid values must be in (0, 1], got {bad}"
+    if len(topologies) > 1:
+        raise ValueError(f"choose one of {', '.join(f for f, _ in topologies)}")
+    flag, value = topologies[0] if topologies else ("--square", 16)
+    n_ports = value[1] * value[2] if flag == "--topology" else value
+    with cli.naming(flag):
+        SimConfig(n_ports=n_ports)
     if not args.schedulers.strip(","):
-        return f"{prog}: --schedulers must name at least one scheduler"
-    return None
+        raise ValueError("--schedulers must name at least one scheduler")
+    config = cli.check_options(args, n_ports=n_ports).config
+    specs = [
+        build_spec(args, load, config) for load in (args.load_grid or (args.load,))
+    ]
+    if args.load_grid is not None:
+        return partial(_load_grid, args, specs)
+    return partial(_single_run, args, specs[0])
 
 
-def build_spec(args: argparse.Namespace, load: float) -> FabricSpec:
-    """Assemble the :class:`FabricSpec` one invocation describes.
-
-    Raises ``ValueError`` for semantic errors the spec validates
-    (unknown scheduler, fault coordinates off the topology, wrong
-    scheduler count) — the caller maps that to exit code 2.
-    """
+def build_spec(args: argparse.Namespace, load: float, config: SimConfig) -> FabricSpec:
+    """The :class:`FabricSpec` one invocation describes at ``load``."""
     schedulers = tuple(
         name.strip() for name in args.schedulers.split(",") if name.strip()
-    )
-    config_changes = dict(
-        iterations=args.iterations,
-        warmup_slots=args.warmup,
-        measure_slots=args.slots,
-        seed=args.seed,
     )
     common = dict(
         load=load,
@@ -203,21 +166,11 @@ def build_spec(args: argparse.Namespace, load: float) -> FabricSpec:
             raise ValueError(
                 f"--single takes exactly one scheduler, got {schedulers!r}"
             )
-        return FabricSpec.single(
-            args.single, schedulers[0],
-            config=SimConfig(n_ports=args.single, **config_changes), **common,
-        )
+        return FabricSpec.single(args.single, schedulers[0], config=config, **common)
     if args.topology is not None:
         m, k, r = args.topology
-        return FabricSpec(
-            m=m, k=k, r=r, schedulers=schedulers,
-            config=SimConfig(n_ports=k * r, **config_changes), **common,
-        )
-    n_ports = args.square if args.square is not None else 16
-    spec = FabricSpec.square(
-        n_ports, schedulers[0],
-        config=SimConfig(n_ports=n_ports, **config_changes), **common,
-    )
+        return FabricSpec(m=m, k=k, r=r, schedulers=schedulers, config=config, **common)
+    spec = FabricSpec.square(config.n_ports, schedulers[0], config=config, **common)
     if len(schedulers) > 1:
         spec = FabricSpec.from_spec(
             dict(spec.to_spec()) | {"schedulers": list(schedulers)}
@@ -309,12 +262,11 @@ def _single_run(args: argparse.Namespace, spec: FabricSpec) -> int:
     return 0
 
 
-def _load_grid(args: argparse.Namespace) -> int:
+def _load_grid(args: argparse.Namespace, specs: list[FabricSpec]) -> int:
     from repro.fabric.sim import run_fabric
 
     rows = []
-    for load in args.load_grid:
-        spec = build_spec(args, load)
+    for load, spec in zip(args.load_grid, specs):
         result = run_fabric(
             spec,
             shards=args.shards,
@@ -334,7 +286,7 @@ def _load_grid(args: argparse.Namespace) -> int:
         if not args.quiet:
             print(f"grid rows written to {args.csv}")
     if args.json:
-        spec = build_spec(args, args.load_grid[0])
+        spec = specs[0]
         atomic_write_text(
             args.json,
             json.dumps(
@@ -354,21 +306,7 @@ def _load_grid(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    error = validate_args(args, "lcf-fabric")
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
-    try:
-        spec = build_spec(
-            args, args.load_grid[0] if args.load_grid else args.load
-        )
-    except ValueError as exc:
-        print(f"lcf-fabric: {exc}", file=sys.stderr)
-        return 2
-    if args.load_grid is not None:
-        return _load_grid(args)
-    return _single_run(args, spec)
+    return cli.run_main(build_parser(), build, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

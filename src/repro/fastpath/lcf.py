@@ -23,9 +23,9 @@ per bucket probed instead of one NRQ lookup per candidate bit — and
 the Figure 2 losers-decrement becomes a bulk move of each bucket's
 intersection with the taken column's requesters into the next-lower
 bucket: one AND/OR per value instead of one decrement per requester.
-Decision-trace mode needs per-step NRQ snapshots, so it keeps the
-per-bit kernel (tracing is an observability mode; its cost is
-irrelevant).
+Decision-trace mode needs per-step NRQ snapshots, so it runs the
+per-bit scan at every width, which records one :class:`StepTrace` per
+output step when ``record_trace`` is set.
 
 ``n > 64`` switches run this same bucketed kernel on wider masks: a
 128-port row is a five-digit Python int (30-bit digits), so every
@@ -65,9 +65,7 @@ class FastLCFCentralVariant(BitmaskKernelMixin, LCFCentralVariant):
         (``NO_GRANT`` where unmatched) and advances the round-robin
         state by one cycle, like :meth:`schedule`.
         """
-        if self.record_trace:
-            return self._schedule_masks_traced(rows, cols)
-        if self.n <= _SCAN_MAX_PORTS:
+        if self.record_trace or self.n <= _SCAN_MAX_PORTS:
             return self._schedule_masks_scan(rows, cols)
         return self._schedule_masks_bucketed(rows, cols)
 
@@ -94,13 +92,18 @@ class FastLCFCentralVariant(BitmaskKernelMixin, LCFCentralVariant):
     def _schedule_masks_scan(
         self, rows: list[int], cols: list[int] | None = None
     ) -> list[int]:
-        """Per-bit kernel — the small-switch hot path."""
+        """Per-bit kernel — the small-switch hot path, and the
+        decision-trace twin of the reference inner loop when
+        ``record_trace`` is set."""
         n = self.n
         if cols is None:
             cols = derive_cols(rows, n)
         i0, j0 = self._i, self._j
         full = (1 << n) - 1
         schedule = [NO_GRANT] * n
+        trace = [] if self.record_trace else None
+        if trace is not None:
+            self.last_trace = trace
         col_free, free_in = self._pre_grants(rows, schedule, full, full)
 
         # NRQ after any pre-grants: remaining choices per free input.
@@ -150,6 +153,15 @@ class FastLCFCentralVariant(BitmaskKernelMixin, LCFCentralVariant):
                                 break  # a live candidate's NRQ floor
                         rotated ^= low
 
+            if trace is not None:
+                # The scan reaches rr_row only as a free requester, so
+                # rr_row wins by the RR test exactly when covered.
+                rr_won = grant == rr_row and (diagonal or (single and res == 0))
+                trace.append(
+                    StepTrace(
+                        col, rr_row, np.array(nrq, dtype=np.int64), grant, rr_won
+                    )
+                )
             if grant != NO_GRANT:
                 schedule[grant] = col
                 col_free &= ~col_bit
@@ -274,89 +286,6 @@ class FastLCFCentralVariant(BitmaskKernelMixin, LCFCentralVariant):
                     if kept:
                         new_values.append(value)
                 values = new_values
-
-        self._advance()
-        return schedule
-
-    def _schedule_masks_traced(
-        self, rows: list[int], cols: list[int] | None = None
-    ) -> list[int]:
-        """The per-bit kernel with :class:`StepTrace` recording — the
-        decision-trace twin of the reference inner loop."""
-        n = self.n
-        if cols is None:
-            cols = derive_cols(rows, n)
-        i0, j0 = self._i, self._j
-        full = (1 << n) - 1
-        schedule = [NO_GRANT] * n
-        self.last_trace = []
-        col_free, free_in = self._pre_grants(rows, schedule, full, full)
-
-        # NRQ after any pre-grants: remaining choices per free input.
-        nrq = [
-            (rows[i] & col_free).bit_count() if free_in >> i & 1 else 0
-            for i in range(n)
-        ]
-
-        diagonal = self.coverage is RRCoverage.DIAGONAL
-        single = self.coverage is RRCoverage.SINGLE
-        for res in range(n):
-            col = j0 + res
-            if col >= n:
-                col -= n
-            col_bit = 1 << col
-            if not col_free & col_bit:
-                continue
-            rr_row = i0 + res
-            if rr_row >= n:
-                rr_row -= n
-
-            grant = NO_GRANT
-            rr_won = False
-            if (
-                (diagonal or (single and res == 0))
-                and free_in >> rr_row & 1
-                and rows[rr_row] & col_bit
-            ):
-                grant = rr_row
-                rr_won = True
-            else:
-                cand = cols[col] & free_in
-                if cand:
-                    rotated = (cand >> rr_row) | ((cand << (n - rr_row)) & full)
-                    best_nrq = n + 1
-                    while rotated:
-                        low = rotated & -rotated
-                        i = rr_row + low.bit_length() - 1
-                        if i >= n:
-                            i -= n
-                        count = nrq[i]
-                        if count < best_nrq:
-                            best_nrq = count
-                            grant = i
-                            if count == 1:
-                                break  # a live candidate's NRQ floor
-                        rotated ^= low
-
-            self.last_trace.append(
-                StepTrace(
-                    col,
-                    rr_row,
-                    np.array(nrq, dtype=np.int64),
-                    grant,
-                    rr_won,
-                )
-            )
-            if grant != NO_GRANT:
-                schedule[grant] = col
-                col_free &= ~col_bit
-                losers = cols[col] & free_in
-                while losers:
-                    low = losers & -losers
-                    nrq[low.bit_length() - 1] -= 1
-                    losers ^= low
-                free_in &= ~(1 << grant)
-                nrq[grant] = 0
 
         self._advance()
         return schedule

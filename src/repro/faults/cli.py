@@ -25,58 +25,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
-from repro.baselines.registry import SPECIAL_SWITCH_NAMES, available_schedulers
+from repro import cli
 from repro.faults.harness import (
     DEFAULT_AVAILABILITY_GRID,
     DEFAULT_LOSS_GRID,
     run_availability_sweep,
     run_loss_sweep,
 )
-from repro.faults.plan import FaultPlan, LinkOutage, PortDownInterval
 from repro.ioutil import atomic_write_text
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import JsonlTracer, RingTracer
-from repro.sim.config import SimConfig
 from repro.sim.simulator import run_simulation
-
-
-def _parse_port_down(text: str) -> PortDownInterval:
-    """``port:start:end`` or ``port:start:end:side``."""
-    parts = text.split(":")
-    if len(parts) not in (3, 4):
-        raise argparse.ArgumentTypeError(
-            f"expected port:start:end[:side], got {text!r}"
-        )
-    try:
-        port, start, end = (int(p) for p in parts[:3])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"non-integer field in {text!r}") from None
-    side = parts[3] if len(parts) == 4 else "both"
-    try:
-        return PortDownInterval(port, start, end, side)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _parse_link_down(text: str) -> LinkOutage:
-    """``input:output:start:end``."""
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(
-            f"expected input:output:start:end, got {text!r}"
-        )
-    try:
-        return LinkOutage(*(int(p) for p in parts))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _parse_grid(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad float grid {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,37 +46,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fault-injection runs and resilience degradation curves "
         "(LCF reproduction).",
     )
-    parser.add_argument("--scheduler", default="lcf_dist_rr",
-                        help="scheduler for single-run mode "
-                        f"({', '.join(available_schedulers())})")
+    cli.add_run_options(parser)
+    parser.set_defaults(scheduler="lcf_dist_rr")
     parser.add_argument("--schedulers", default=None,
                         help="comma list for sweep modes "
                         "(default: lcf_dist,lcf_dist_rr,pim,islip)")
-    parser.add_argument("--load", type=float, default=0.8)
-    parser.add_argument("--ports", type=int, default=16)
-    parser.add_argument("--slots", type=int, default=1000,
-                        help="measured slots")
-    parser.add_argument("--warmup", type=int, default=200)
-    parser.add_argument("--iterations", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--traffic", default="bernoulli")
     # Fault plan (single-run mode).
     parser.add_argument("--loss", type=float, default=0.0,
                         help="uniform request/grant/accept loss probability")
-    parser.add_argument("--port-down", action="append", default=[],
-                        type=_parse_port_down, metavar="P:START:END[:SIDE]",
-                        help="port outage interval (repeatable)")
-    parser.add_argument("--link-down", action="append", default=[],
-                        type=_parse_link_down, metavar="I:J:START:END",
-                        help="single-crosspoint outage (repeatable)")
-    parser.add_argument("--availability", type=float, default=None,
-                        help="duty-cycled outages averaging this availability")
+    cli.add_fault_options(parser)
     # Sweep modes.
-    parser.add_argument("--loss-grid", type=_parse_grid, default=None,
+    parser.add_argument("--loss-grid", type=cli.parse_grid, default=None,
                         metavar="R0,R1,...",
                         help="sweep message-loss axis over these rates "
                         f"(e.g. {','.join(str(x) for x in DEFAULT_LOSS_GRID)})")
-    parser.add_argument("--availability-grid", type=_parse_grid, default=None,
+    parser.add_argument("--availability-grid", type=cli.parse_grid, default=None,
                         metavar="A0,A1,...",
                         help="sweep availability axis over these values (e.g. "
                         f"{','.join(str(x) for x in DEFAULT_AVAILABILITY_GRID)})")
@@ -126,19 +71,17 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("throughput", "mean_latency", "delivery"),
                         help="metric for the ASCII degradation plot")
     # Checkpointing (single-run mode).
-    parser.add_argument("--admission", metavar="LOW:HIGH", default=None,
-                        help="single-run mode: attach threshold admission "
-                        "control with these occupancy watermarks")
-    parser.add_argument("--checkpoint", metavar="PATH", default=None,
-                        help="single-run mode: checkpoint the run's state here")
-    parser.add_argument("--checkpoint-every", metavar="N", type=int, default=None,
-                        help="checkpoint cadence in slots (with --checkpoint)")
-    parser.add_argument("--stop-at", metavar="SLOT", type=int, default=None,
-                        help="pause at this slot after a final checkpoint")
-    parser.add_argument("--resume", metavar="PATH", default=None,
-                        help="resume a checkpointed run (fault plan and "
-                        "scheduler come from the checkpoint; plan flags are "
-                        "ignored)")
+    cli.add_admission_option(
+        parser, help="single-run mode: attach threshold admission "
+        "control with these occupancy watermarks",
+    )
+    cli.add_checkpoint_options(
+        parser,
+        checkpoint_help="single-run mode: checkpoint the run's state here",
+        stop_at_help="pause at this slot after a final checkpoint",
+        resume_help="resume a checkpointed run (fault plan and "
+        "scheduler come from the checkpoint; plan flags are ignored)",
+    )
     # Artifacts.
     parser.add_argument("--trace-out", metavar="PATH", default=None,
                         help="single-run mode: write the JSONL event trace")
@@ -150,80 +93,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def validate_common_args(args: argparse.Namespace, prog: str) -> str | None:
-    """Shared CLI sanity checks; returns an error message or ``None``.
-
-    argparse types catch malformed values; this catches well-formed
-    nonsense (negative seeds, zero ports, empty grids) *before* any
-    simulation runs or artifact file is opened, so a bad invocation
-    exits non-zero without side effects.
-    """
-    if args.ports < 1:
-        return f"{prog}: --ports must be >= 1, got {args.ports}"
-    if args.slots < 0:
-        return f"{prog}: --slots must be >= 0, got {args.slots}"
-    if args.warmup < 0:
-        return f"{prog}: --warmup must be >= 0, got {args.warmup}"
-    if args.seed < 0:
-        return f"{prog}: --seed must be >= 0, got {args.seed}"
-    if not args.load > 0:
-        return f"{prog}: --load must be > 0, got {args.load}"
-    if getattr(args, "replicates", 1) < 1:
-        return f"{prog}: --replicates must be >= 1, got {args.replicates}"
-    if getattr(args, "workers", 1) < 1:
-        return f"{prog}: --workers must be >= 1, got {args.workers}"
-    for flag in ("loss_grid", "availability_grid"):
-        grid = getattr(args, flag, None)
-        if grid is not None and len(grid) == 0:
-            name = flag.replace("_", "-")
-            return f"{prog}: --{name} was given but contains no values"
-    return None
+#: Why the dedicated fifo/outbuf switch models are refused.
+_REFUSE = "without fault support"
 
 
-def _build_plan(args: argparse.Namespace) -> FaultPlan:
-    plan = FaultPlan(
-        port_down=tuple(args.port_down),
-        link_down=tuple(args.link_down),
-        request_loss=args.loss,
-        grant_loss=args.loss,
-        accept_loss=args.loss,
+def build(args: argparse.Namespace):
+    """Judge the invocation and return the run it names."""
+    if args.loss_grid is not None and args.availability_grid is not None:
+        raise ValueError("choose one of --loss-grid / --availability-grid")
+    cli.check_schedulers("--scheduler", (args.scheduler,), refuse=_REFUSE)
+    options = cli.check_options(args)
+    if args.resume:
+        return partial(_resume_run, args)
+    if args.loss_grid is None and args.availability_grid is None:
+        return partial(_single_run, args, options)
+    schedulers = cli.check_schedulers(
+        "--schedulers",
+        (args.schedulers or "lcf_dist,lcf_dist_rr,pim,islip").split(","),
+        refuse=_REFUSE,
     )
-    if args.availability is not None:
-        duty = FaultPlan.availability(args.ports, args.availability)
-        plan = FaultPlan(
-            port_down=plan.port_down,
-            port_duty=duty.port_duty,
-            link_down=plan.link_down,
-            request_loss=plan.request_loss,
-            grant_loss=plan.grant_loss,
-            accept_loss=plan.accept_loss,
-        )
-    return plan
-
-
-def _parse_admission(text: str | None):
-    """``LOW:HIGH`` → admission spec dict (None passes through)."""
-    if text is None:
-        return None
-    low, sep, high = text.partition(":")
-    if not sep:
-        raise ValueError(f"expected LOW:HIGH, got {text!r}")
-    return {"low": int(low), "high": int(high)}
+    return partial(_sweep, args, options, schedulers)
 
 
 def _resume_run(args: argparse.Namespace) -> int:
-    from repro.checkpoint import CheckpointError, resume_simulation
-
-    tracer = JsonlTracer(args.trace_out) if args.trace_out else None
-    metrics = MetricsRegistry()
-    try:
-        result = resume_simulation(args.resume, tracer=tracer, metrics=metrics)
-    except CheckpointError as exc:
-        print(f"lcf-faults: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if tracer is not None:
-            tracer.close()
+    result, _, _ = cli.resume(args, args.trace_out)
     if not args.quiet:
         print(
             f"{result.scheduler} load={result.load:g} (resumed): "
@@ -247,47 +140,26 @@ def _resume_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _single_run(args: argparse.Namespace) -> int:
-    if args.scheduler in SPECIAL_SWITCH_NAMES:
-        print(f"lcf-faults: {args.scheduler!r} uses a dedicated switch model "
-              "without fault support", file=sys.stderr)
-        return 2
-    try:
-        plan = _build_plan(args)
-    except ValueError as exc:
-        print(f"lcf-faults: invalid fault plan: {exc}", file=sys.stderr)
-        return 2
-    config = SimConfig(
-        n_ports=args.ports,
-        iterations=args.iterations,
-        warmup_slots=args.warmup,
-        measure_slots=args.slots,
-        seed=args.seed,
-    )
+def _single_run(args: argparse.Namespace, options: cli.Options) -> int:
+    plan = options.plan
     tracer = (
         JsonlTracer(args.trace_out) if args.trace_out else RingTracer(1 << 20)
     )
     metrics = MetricsRegistry()
-    from repro.checkpoint import CheckpointError
-
-    try:
-        with tracer:
-            result = run_simulation(
-                config,
-                args.scheduler,
-                args.load,
-                traffic=args.traffic,
-                tracer=tracer,
-                metrics=metrics,
-                faults=plan,
-                admission=_parse_admission(args.admission),
-                checkpoint_path=args.checkpoint,
-                checkpoint_every=args.checkpoint_every,
-                stop_at_slot=args.stop_at,
-            )
-    except CheckpointError as exc:
-        print(f"lcf-faults: {exc}", file=sys.stderr)
-        return 2
+    with tracer:
+        result = run_simulation(
+            options.config,
+            args.scheduler,
+            args.load,
+            traffic=args.traffic,
+            tracer=tracer,
+            metrics=metrics,
+            faults=plan,
+            admission=options.admission,
+            checkpoint_path=args.checkpoint,
+            checkpoint_every=args.checkpoint_every,
+            stop_at_slot=args.stop_at,
+        )
     if not args.quiet:
         print(f"fault plan: {plan.describe()}")
         if args.checkpoint:
@@ -328,43 +200,22 @@ def _single_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep(args: argparse.Namespace) -> int:
-    schedulers = tuple(
-        (args.schedulers or "lcf_dist,lcf_dist_rr,pim,islip").split(",")
-    )
-    bad = [s for s in schedulers if s in SPECIAL_SWITCH_NAMES]
-    if bad:
-        print(f"lcf-faults: {bad} use dedicated switch models without fault "
-              "support", file=sys.stderr)
-        return 2
-    config = SimConfig(
-        n_ports=args.ports,
-        iterations=args.iterations,
-        warmup_slots=args.warmup,
-        measure_slots=args.slots,
-        seed=args.seed,
-    )
+def _sweep(args: argparse.Namespace, options: cli.Options, schedulers) -> int:
     common = dict(
         load=args.load,
-        config=config,
+        config=options.config,
         traffic=args.traffic,
         replicates=args.replicates,
         processes=args.workers,
         cache=args.cache_dir,
         progress=not args.quiet,
     )
-    try:
-        if args.loss_grid is not None:
-            report = run_loss_sweep(
-                schedulers, rates=args.loss_grid, **common,
-            )
-        else:
-            report = run_availability_sweep(
-                schedulers, availabilities=args.availability_grid, **common,
-            )
-    except ValueError as exc:
-        print(f"lcf-faults: {exc}", file=sys.stderr)
-        return 2
+    if args.loss_grid is not None:
+        report = run_loss_sweep(schedulers, rates=args.loss_grid, **common)
+    else:
+        report = run_availability_sweep(
+            schedulers, availabilities=args.availability_grid, **common,
+        )
     if not args.quiet:
         print(report.plot(metric=args.metric))
         print(report.summary())
@@ -393,36 +244,7 @@ def _sweep(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    error = validate_common_args(args, "lcf-faults")
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
-    if args.loss_grid is not None and args.availability_grid is not None:
-        print("lcf-faults: choose one of --loss-grid / --availability-grid",
-              file=sys.stderr)
-        return 2
-    if (args.checkpoint_every is not None or args.stop_at is not None) and not (
-        args.checkpoint or args.resume
-    ):
-        print("lcf-faults: --checkpoint-every/--stop-at need --checkpoint",
-              file=sys.stderr)
-        return 2
-    if args.admission is not None:
-        try:
-            _parse_admission(args.admission)
-        except ValueError as exc:
-            print(f"lcf-faults: bad --admission: {exc}", file=sys.stderr)
-            return 2
-    if args.resume:
-        if args.checkpoint:
-            print("lcf-faults: --resume and --checkpoint are mutually "
-                  "exclusive", file=sys.stderr)
-            return 2
-        return _resume_run(args)
-    if args.loss_grid is not None or args.availability_grid is not None:
-        return _sweep(args)
-    return _single_run(args)
+    return cli.run_main(build_parser(), build, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

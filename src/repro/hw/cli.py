@@ -16,9 +16,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
+from repro import cli
 from repro.analysis.tables import format_table
 from repro.hw.comm import comm_table
 from repro.hw.cost import fpga_utilisation, table1
@@ -46,26 +48,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _input_error(args) -> str | None:
-    """What is wrong with the parsed arguments, or ``None``."""
-    if args.ports < 1:
-        return f"--ports must be >= 1, got {args.ports}"
+def build(args: argparse.Namespace):
+    """Judge the invocation; bad input exits 2 (1 means "RTL mismatch")."""
+    cli.check_options(args)
     if not (args.clock_mhz > 0 and math.isfinite(args.clock_mhz)):
-        return f"--clock-mhz must be a finite number > 0, got {args.clock_mhz:g}"
-    if args.iterations < 1:
-        return f"--iterations must be >= 1, got {args.iterations}"
+        raise ValueError(
+            f"--clock-mhz must be a finite number > 0, got {args.clock_mhz:g}"
+        )
     if args.rtl_cycles < 1:
-        return f"--rtl-cycles must be >= 1, got {args.rtl_cycles}"
-    return None
+        raise ValueError(f"--rtl-cycles must be >= 1, got {args.rtl_cycles}")
+    return partial(_report, args)
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    # Bad input exits 2 with one line (1 means "RTL mismatch").
-    error = _input_error(args)
-    if error is not None:
-        print(f"lcf-hw: {error}", file=sys.stderr)
-        return 2
+def _report(args: argparse.Namespace) -> int:
     n = args.ports
 
     print(f"Table 1 — gate/register counts (n={n}):")
@@ -117,6 +112,10 @@ def main(argv: list[str] | None = None) -> int:
         if mismatches:
             return 1
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return cli.run_main(build_parser(), build, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

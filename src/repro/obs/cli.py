@@ -19,16 +19,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
-from repro.baselines.registry import SPECIAL_SWITCH_NAMES, available_schedulers
+from repro import cli
 from repro.obs.chrome import write_chrome_trace
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.probe import MatchingQualityProbe
 from repro.obs.tracer import JsonlTracer, RingTracer, events_from_jsonl
-from repro.sim.config import SimConfig
 from repro.sim.crossbar import InputQueuedSwitch
-from repro.sim.simulator import make_crossbar_scheduler
-from repro.traffic.base import make_traffic
+from repro.sim.simulator import make_crossbar_scheduler, run_simulation
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,17 +36,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Traced single-run harness: per-slot event trace plus a "
         "scheduler decision summary (LCF reproduction).",
     )
-    parser.add_argument("--scheduler", default="lcf_central_rr",
-                        help=f"crossbar scheduler ({', '.join(available_schedulers())})")
-    parser.add_argument("--load", type=float, default=0.9)
-    parser.add_argument("--ports", type=int, default=16)
-    parser.add_argument("--slots", type=int, default=1000,
-                        help="measured slots (statistics and trace cover these)")
-    parser.add_argument("--warmup", type=int, default=0,
-                        help="untraced warm-up slots before measurement")
-    parser.add_argument("--iterations", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--traffic", default="bernoulli")
+    cli.add_run_options(
+        parser,
+        scheduler_help="crossbar scheduler",
+        slots_help="measured slots (statistics and trace cover these)",
+        warmup_help="untraced warm-up slots before measurement",
+    )
+    parser.set_defaults(load=0.9, warmup=0)
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="write the JSONL event trace here")
     parser.add_argument("--chrome", metavar="PATH", default=None,
@@ -58,22 +53,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--snapshot", metavar="PATH", default=None,
                         help="dump a final OpenMetrics snapshot of the run's "
                         "metrics registry here (.json suffix switches to JSON)")
-    parser.add_argument("--admission", metavar="LOW:HIGH", default=None,
-                        help="attach threshold admission control with these "
-                        "occupancy watermarks (packets, switch-wide)")
-    parser.add_argument("--checkpoint", metavar="PATH", default=None,
-                        help="checkpoint the run's complete state here "
-                        "(switches to the plain run_simulation driver; the "
-                        "Hopcroft-Karp probe summary is skipped)")
-    parser.add_argument("--checkpoint-every", metavar="N", type=int, default=None,
-                        help="checkpoint cadence in slots (with --checkpoint)")
-    parser.add_argument("--stop-at", metavar="SLOT", type=int, default=None,
-                        help="pause at this slot after writing a final "
-                        "checkpoint (with --checkpoint); resume later with "
-                        "--resume")
-    parser.add_argument("--resume", metavar="PATH", default=None,
-                        help="resume a checkpointed run instead of starting "
-                        "one; --out captures the remaining slots' events")
+    cli.add_admission_option(
+        parser, help="attach threshold admission control with these "
+        "occupancy watermarks (packets, switch-wide)",
+    )
+    cli.add_checkpoint_options(
+        parser,
+        checkpoint_help="checkpoint the run's complete state here "
+        "(switches to the plain run_simulation driver; the "
+        "Hopcroft-Karp probe summary is skipped)",
+        stop_at_help="pause at this slot after writing a final "
+        "checkpoint (with --checkpoint); resume later with --resume",
+        resume_help="resume a checkpointed run instead of starting "
+        "one; --out captures the remaining slots' events",
+    )
     parser.add_argument("--quiet", action="store_true",
                         help="suppress the decision summary")
     return parser
@@ -81,16 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _rate(num: float, den: float) -> float:
     return num / den if den else float("nan")
-
-
-def _parse_admission(text: str | None):
-    """``LOW:HIGH`` → admission spec dict (None passes through)."""
-    if text is None:
-        return None
-    low, sep, high = text.partition(":")
-    if not sep:
-        raise ValueError(f"expected LOW:HIGH, got {text!r}")
-    return {"low": int(low), "high": int(high)}
 
 
 def _result_summary(result) -> str:
@@ -107,36 +90,40 @@ def _result_summary(result) -> str:
     return "\n".join(lines)
 
 
-def _run_checkpointed(args, config: SimConfig | None = None) -> int:
-    """--checkpoint / --resume flows: the run_simulation driver
-    (``config`` is the fresh run's; None when resuming)."""
-    from repro.checkpoint import CheckpointError, resume_simulation
-    from repro.sim.simulator import run_simulation
+def build(args: argparse.Namespace):
+    """Judge the invocation and return the run it names."""
+    cli.check_schedulers(
+        "--scheduler", (args.scheduler,), refuse="with no VOQ pipeline to trace"
+    )
+    options = cli.check_options(args)
+    if args.resume or args.checkpoint:
+        return partial(_run_checkpointed, args, options)
+    return partial(_traced_run, args, options)
 
-    tracer = JsonlTracer(args.out) if args.out else None
-    metrics = MetricsRegistry()
-    try:
-        if args.resume:
-            result = resume_simulation(args.resume, tracer=tracer, metrics=metrics)
-        else:
+
+def _run_checkpointed(args: argparse.Namespace, options: cli.Options) -> int:
+    """--checkpoint / --resume flows: the run_simulation driver."""
+    if args.resume:
+        result, tracer, metrics = cli.resume(args, args.out)
+    else:
+        tracer = JsonlTracer(args.out) if args.out else None
+        metrics = MetricsRegistry()
+        try:
             result = run_simulation(
-                config,
+                options.config,
                 args.scheduler,
                 args.load,
                 traffic=args.traffic,
                 tracer=tracer,
                 metrics=metrics,
-                admission=_parse_admission(args.admission),
+                admission=options.admission,
                 checkpoint_path=args.checkpoint,
                 checkpoint_every=args.checkpoint_every,
                 stop_at_slot=args.stop_at,
             )
-    except CheckpointError as exc:
-        print(f"lcf-trace: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if tracer is not None:
-            tracer.close()
+        finally:
+            if tracer is not None:
+                tracer.close()
     if args.out and not args.quiet:
         print(f"wrote {args.out} ({tracer.emitted} events)")
     if args.chrome:
@@ -161,55 +148,8 @@ def _run_checkpointed(args, config: SimConfig | None = None) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if (args.checkpoint_every is not None or args.stop_at is not None) and not (
-        args.checkpoint or args.resume
-    ):
-        print("lcf-trace: --checkpoint-every/--stop-at need --checkpoint",
-              file=sys.stderr)
-        return 2
-    if args.resume and args.checkpoint:
-        print("lcf-trace: --resume and --checkpoint are mutually exclusive "
-              "(a resumed run keeps checkpointing to its own file)",
-              file=sys.stderr)
-        return 2
-    if args.admission is not None:
-        try:
-            _parse_admission(args.admission)
-        except ValueError as exc:
-            print(f"lcf-trace: bad --admission: {exc}", file=sys.stderr)
-            return 2
-    if args.resume:
-        return _run_checkpointed(args)
-    if args.scheduler in SPECIAL_SWITCH_NAMES:
-        print(f"lcf-trace: {args.scheduler!r} uses a dedicated switch model "
-              "with no VOQ pipeline to trace", file=sys.stderr)
-        return 2
-    if args.load <= 0.0 or args.load > 1.0:
-        print(f"lcf-trace: load {args.load} outside (0, 1]", file=sys.stderr)
-        return 2
-    # Bad run options exit 2 with one line, before anything runs.
-    try:
-        if args.scheduler not in available_schedulers():
-            raise ValueError(
-                f"unknown scheduler {args.scheduler!r}; available: "
-                f"{', '.join(available_schedulers())}"
-            )
-        config = SimConfig(
-            n_ports=args.ports,
-            warmup_slots=args.warmup,
-            measure_slots=args.slots,
-            iterations=args.iterations,
-            seed=args.seed,
-        )
-        pattern = make_traffic(args.traffic, args.ports, args.load, seed=args.seed)
-    except (ValueError, KeyError) as exc:
-        print(f"lcf-trace: {exc.args[0]}", file=sys.stderr)
-        return 2
-    if args.checkpoint:
-        return _run_checkpointed(args, config)
-
+def _traced_run(args: argparse.Namespace, options: cli.Options) -> int:
+    config = options.config
     scheduler = make_crossbar_scheduler(
         args.scheduler, args.ports, iterations=args.iterations, seed=args.seed
     )
@@ -219,15 +159,14 @@ def main(argv: list[str] | None = None) -> int:
 
     tracer = JsonlTracer(args.out) if args.out else RingTracer(capacity=1 << 20)
     metrics = MetricsRegistry()
-    from repro.sim.admission import make_admission
-
     switch = InputQueuedSwitch(
         config, probe or scheduler, tracer=tracer, metrics=metrics,
-        admission=make_admission(_parse_admission(args.admission)),
+        admission=options.admission,
     )
 
     # `measuring` gates statistics only; the tracer sees every slot,
     # which is what a timeline viewer wants.
+    pattern = options.pattern
     for slot in range(config.total_slots):
         if slot == config.warmup_slots:
             switch.measuring = True
@@ -258,6 +197,10 @@ def main(argv: list[str] | None = None) -> int:
     if not args.quiet:
         print(decision_summary(args, switch, metrics, probe))
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    return cli.run_main(build_parser(), build, argv)
 
 
 def decision_summary(

@@ -42,6 +42,10 @@ class AdmissionController:
     and off once it has drained to ``low`` or below.
     """
 
+    #: Metric handles a registry brings (``None`` without one); a
+    #: checkpoint restore keeps the rebuilt controller's.
+    _restore_keeps = ("_m_shed", "_m_state")
+
     def __init__(self, low: int, high: int):
         if low < 0:
             raise ValueError(f"low watermark must be >= 0, got {low}")

@@ -69,6 +69,14 @@ from repro.types import NO_GRANT
 class InputQueuedSwitch:
     """VOQ crossbar switch driven by any :class:`Scheduler`."""
 
+    #: Derived from the switch's own wiring, so a checkpoint restore
+    #: keeps the rebuilt switch's values (``repro.checkpoint.state``):
+    #: whether the fast loop may run is a probe of the rebuilt scheduler
+    #: and hooks (a file written before a scheduler had a bitset kernel
+    #: resumes on that kernel's loop), and the observing flag and live
+    #: estimators follow the resumer's tracer and registry.
+    _restore_keeps = ("_fast_slot", "_observing", "rate_estimator", "delay_histogram")
+
     def __init__(
         self,
         config: SimConfig,

@@ -31,6 +31,11 @@ class BernoulliUniform(TrafficPattern):
 
     name = "bernoulli"
 
+    #: Fields of the retired ``batch`` knob (the batch size and its
+    #: pre-drawn slots, empty at every slot boundary with ``batch=1``)
+    #: that v4 checkpoints still carry; a restore ignores them.
+    _restore_keeps = ("batch", "_pending")
+
     def __init__(
         self,
         n: int,

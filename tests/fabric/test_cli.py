@@ -10,9 +10,9 @@ import json
 
 import pytest
 
+from repro.cli import parse_grid as _parse_grid
 from repro.fabric.cli import (
     _csv_cell,
-    _parse_grid,
     _parse_stage_fault,
     _parse_topology,
     _rows_to_csv,
