@@ -3,16 +3,16 @@
 The :mod:`repro.obs` contract is that a simulation with no tracer — or
 with a :class:`~repro.obs.tracer.NullTracer`, which resolves to the
 same code path — pays only the ``is not None`` guards in the switch's
-step loop. ``test_disabled_path_overhead_budget`` turns that into a
-hard assertion: the instrumented-but-disabled step loop must run within
+slot body. ``test_disabled_path_overhead_budget`` turns that into a
+hard assertion: the instrumented-but-disabled slot body must run within
 2% of the uninstrumented one (min-of-repeats timing, retried to ride
 out scheduler noise on shared CI hosts).
 
-A metrics registry alone keeps a run on the fast slot loop (counters
-and histograms are tallied locally and flushed once per driver block),
-so ``test_enabled_metrics_overhead_budget`` also bounds the *enabled*
-metrics path: an n=16 ``lcf_central_rr`` fast run with a registry
-attached must stay within 2.5x of the same run without one.
+A metrics registry's counters and histograms are tallied locally and
+flushed once per slot block, so ``test_enabled_metrics_overhead_budget``
+also bounds the *enabled* metrics path: an n=16 ``lcf_central_rr`` run
+with a registry attached must stay within 2.5x of the same run without
+one.
 
 The remaining benchmarks are informational: what tracing *costs when
 enabled*, for sizing trace windows before a big capture.
@@ -130,8 +130,7 @@ def _fast_run_seconds(metrics: bool) -> float:
 
 
 def test_enabled_metrics_overhead_budget():
-    """Attaching a MetricsRegistry keeps the run on the fast loop: the
-    metrics-on run must be within 2.5x of the metrics-off run.
+    """The metrics-on run must be within 2.5x of the metrics-off run.
 
     Whole-run min-of-repeats timing with retries, like the disabled
     budgets above.

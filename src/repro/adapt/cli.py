@@ -210,7 +210,9 @@ def _resume(args: argparse.Namespace, run: dict) -> int:
     from scratch (it is cheap and deterministic), while the adaptive
     run — estimator health tables and all — continues from the file.
     """
-    reactive, _, _ = cli.resume(args, args.trace_out)
+    reactive, _ = cli.resume(
+        args, JsonlTracer(args.trace_out) if args.trace_out else None
+    )
     blind = run_simulation(
         SimConfig(**run["config"]), run["scheduler"], run["load"],
         traffic=run["traffic"], traffic_kwargs=run["traffic_kwargs"],

@@ -28,7 +28,6 @@ from repro.checkpoint import CheckpointError, load_checkpoint, resume_simulation
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, LinkOutage, PortDownInterval
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import JsonlTracer
 from repro.sim.admission import AdmissionController, make_admission
 from repro.sim.config import SimConfig
 from repro.traffic.base import TrafficPattern, make_traffic
@@ -352,11 +351,10 @@ def check_checkpoint_options(args: argparse.Namespace) -> dict | None:
     return load_checkpoint(args.resume)
 
 
-def resume(args: argparse.Namespace, trace_out: str | None):
+def resume(args: argparse.Namespace, tracer=None):
     """The ``--resume`` flow: continue the checkpointed run with a fresh
-    :class:`MetricsRegistry` and, when ``trace_out`` is set, a JSONL
-    tracer of the remaining slots. Returns ``(result, tracer, metrics)``."""
-    tracer = JsonlTracer(trace_out) if trace_out else None
+    :class:`MetricsRegistry` and ``tracer`` (closed when the run ends)
+    on the remaining slots. Returns ``(result, metrics)``."""
     metrics = MetricsRegistry()
     try:
         result = resume_simulation(
@@ -369,4 +367,4 @@ def resume(args: argparse.Namespace, trace_out: str | None):
     finally:
         if tracer is not None:
             tracer.close()
-    return result, tracer, metrics
+    return result, metrics

@@ -140,6 +140,12 @@ def build(args: argparse.Namespace):
     if not args.schedulers.strip(","):
         raise ValueError("--schedulers must name at least one scheduler")
     config = cli.check_options(args, n_ports=n_ports).config
+    for flag, field, value in (
+        ("--boundary", "boundary_capacity", args.boundary),
+        ("--link-delay", "link_delay", args.link_delay),
+    ):
+        with cli.naming(flag):
+            FabricSpec.single(1, **{field: value})
     specs = [
         build_spec(args, load, config) for load in (args.load_grid or (args.load,))
     ]

@@ -11,7 +11,7 @@ left untouched either way.
 There is one mask layout at every width: each row (and column) packs
 into one Python int, which is simply wider past 64 ports, and
 ``schedule_masks`` runs on those ints — the same masks
-:class:`repro.sim.queues.VOQSet` maintains for the crossbar's fast loop.
+:class:`repro.sim.queues.VOQSet` maintains for the crossbar's slot body.
 """
 
 from __future__ import annotations

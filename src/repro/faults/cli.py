@@ -116,7 +116,9 @@ def build(args: argparse.Namespace):
 
 
 def _resume_run(args: argparse.Namespace) -> int:
-    result, _, _ = cli.resume(args, args.trace_out)
+    result, _ = cli.resume(
+        args, JsonlTracer(args.trace_out) if args.trace_out else None
+    )
     if not args.quiet:
         print(
             f"{result.scheduler} load={result.load:g} (resumed): "

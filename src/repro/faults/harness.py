@@ -403,6 +403,11 @@ def run_adaptive_sweep(
         adapt_spec = adapt.to_spec()
     else:
         adapt_spec = tuple(sorted(dict(adapt).items()))
+    # Judge the whole grid before the runner creates its cache.
+    plans = [
+        (value, FaultPlan.availability(config.n_ports, value, period=period))
+        for value in availabilities
+    ]
     runner = ParallelRunner(workers=processes, cache=cache, progress=progress)
     report = AdaptiveComparisonReport(
         schedulers=tuple(schedulers),
@@ -412,8 +417,7 @@ def run_adaptive_sweep(
         adaptive={},
         adapt_spec=adapt_spec,
     )
-    for availability in availabilities:
-        plan = FaultPlan.availability(config.n_ports, availability, period=period)
+    for availability, plan in plans:
         for stance_spec, results in (
             (OBLIVIOUS_SPEC, report.oblivious),
             (adapt_spec, report.adaptive),

@@ -364,7 +364,7 @@ def _probe_efficiency(
     """
     from repro.baselines.registry import SPECIAL_SWITCH_NAMES
     from repro.sim.crossbar import InputQueuedSwitch
-    from repro.sim.simulator import make_crossbar_scheduler
+    from repro.sim.simulator import _drive, make_crossbar_scheduler
     from repro.traffic.base import make_traffic
 
     if scheduler_name in SPECIAL_SWITCH_NAMES:
@@ -377,8 +377,7 @@ def _probe_efficiency(
     probe = MatchingQualityProbe(scheduler)
     switch = InputQueuedSwitch(config, probe)
     pattern = make_traffic("bernoulli", config.n_ports, load, seed=config.seed)
-    for slot in range(slots):
-        switch.step(slot, pattern.arrivals())
+    _drive(config, switch, pattern, None, stop_slot=slots)
     return probe.efficiency, probe.mean_matching, probe.mean_maximum
 
 

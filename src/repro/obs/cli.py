@@ -27,7 +27,7 @@ from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.probe import MatchingQualityProbe
 from repro.obs.tracer import JsonlTracer, RingTracer, events_from_jsonl
 from repro.sim.crossbar import InputQueuedSwitch
-from repro.sim.simulator import make_crossbar_scheduler, run_simulation
+from repro.sim.simulator import _drive, make_crossbar_scheduler, run_simulation
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,10 +103,12 @@ def build(args: argparse.Namespace):
 
 def _run_checkpointed(args: argparse.Namespace, options: cli.Options) -> int:
     """--checkpoint / --resume flows: the run_simulation driver."""
+    tracer = None
+    if args.out or args.chrome:
+        tracer = JsonlTracer(args.out) if args.out else RingTracer(capacity=1 << 20)
     if args.resume:
-        result, tracer, metrics = cli.resume(args, args.out)
+        result, metrics = cli.resume(args, tracer)
     else:
-        tracer = JsonlTracer(args.out) if args.out else None
         metrics = MetricsRegistry()
         try:
             result = run_simulation(
@@ -127,7 +129,7 @@ def _run_checkpointed(args: argparse.Namespace, options: cli.Options) -> int:
     if args.out and not args.quiet:
         print(f"wrote {args.out} ({tracer.emitted} events)")
     if args.chrome:
-        events = events_from_jsonl(args.out) if args.out else []
+        events = events_from_jsonl(args.out) if args.out else tracer.events
         spans = write_chrome_trace(events, args.chrome)
         if not args.quiet:
             print(f"wrote {args.chrome} ({spans} trace events)")
@@ -166,11 +168,7 @@ def _traced_run(args: argparse.Namespace, options: cli.Options) -> int:
 
     # `measuring` gates statistics only; the tracer sees every slot,
     # which is what a timeline viewer wants.
-    pattern = options.pattern
-    for slot in range(config.total_slots):
-        if slot == config.warmup_slots:
-            switch.measuring = True
-        switch.step(slot, pattern.arrivals())
+    _drive(config, switch, options.pattern, None)
     tracer.close()
 
     if args.chrome:

@@ -15,26 +15,30 @@ Per-slot event order:
 
 Latency of a packet = departure slot − generation slot + 1.
 
+One slot body: :meth:`InputQueuedSwitch.run_slots` runs these stages
+for a block of slots on the queues' deques and the request bitmasks,
+and :meth:`InputQueuedSwitch.step` is that body run for one slot. Every
+optional stage — fault injector, admission control, adapter, output
+gate, forward sink, tracer, metrics — is bound once per block; absent,
+it costs one local test per slot or per packet, and results are
+bit-identical to an uninstrumented run (property-tested). A scheduler
+whose class defines ``schedule_masks`` schedules straight off the
+masks; reference schedulers get the unpacked request matrix and
+weight-based ones (LQF/OCF) their weights.
+
 Observability: pass a :class:`repro.obs.Tracer` and/or a
 :class:`repro.obs.MetricsRegistry` to record per-slot events (arrival,
 enqueue, request vector, scheduler decision steps, RR override,
 forward, drop) and decision metrics (matching size, choice-count and
-tie-break-depth distributions). With neither attached — or with a
-:class:`~repro.obs.tracer.NullTracer` — the step loop pays one
-``is not None`` check per stage and nothing else; results are
-bit-identical to an uninstrumented run (property-tested).
-
-A tracer needs every event in order, so it keeps the switch on the
-instrumented loop. Metrics alone do not: a switch whose only
-instrumentation is a registry runs the fast bitmask loop, tallies its
-counters and histograms in local ints and count lists, and adds them
-to the registry when :meth:`InputQueuedSwitch.run_slots` returns —
-once per driver block (``_SLOT_BLOCK`` = 64 slots), so a scrape taken
-mid-block lags the simulation by at most that many slots. The
-choice-count and tie-break-depth histograms come from the decision
-records the kernels keep when ``record_trace`` is set, on either loop.
-The live ``delay_p*`` gauges are exact percentiles of every forwarded
-delay (:class:`~repro.obs.estimators.DelayHistogram`).
+tie-break-depth distributions). A tracer receives every event in the
+stage order above. Metrics are tallied in local ints and count lists
+and added to the registry when :meth:`~InputQueuedSwitch.run_slots`
+returns — once per block of slots (``_SLOT_BLOCK`` = 64), so a
+scrape taken mid-block lags the simulation by at most that many slots.
+The choice-count and tie-break-depth histograms come from the decision
+records the kernels keep when ``record_trace`` is set. The live
+``delay_p*`` gauges are exact percentiles of every forwarded delay
+(:class:`~repro.obs.estimators.DelayHistogram`).
 
 Fault stances: with an ``injector`` alone the switch is *informed* —
 requests over faulted crosspoints are masked out before the scheduler
@@ -54,6 +58,7 @@ import numpy as np
 from repro.core.base import Scheduler
 from repro.core.lcf_central import StepTrace
 from repro.core.lcf_dist import IterationTrace
+from repro.fastpath.bitops import pack_cols, pack_rows, unpack_rows
 from repro.faults.injector import FaultInjector
 from repro.obs import events as ev
 from repro.obs.estimators import DelayHistogram, RateEstimator
@@ -71,10 +76,9 @@ class InputQueuedSwitch:
 
     #: Derived from the switch's own wiring, so a checkpoint restore
     #: keeps the rebuilt switch's values (``repro.checkpoint.state``):
-    #: whether the fast loop may run is a probe of the rebuilt scheduler
-    #: and hooks (a file written before a scheduler had a bitset kernel
-    #: resumes on that kernel's loop), and the observing flag and live
-    #: estimators follow the resumer's tracer and registry.
+    #: the observing flag and live estimators follow the resumer's
+    #: tracer and registry. ``_fast_slot`` is retired (there is one slot
+    #: body); files written before carry it, and a restore skips it.
     _restore_keeps = ("_fast_slot", "_observing", "rate_estimator", "delay_histogram")
 
     def __init__(
@@ -178,18 +182,6 @@ class InputQueuedSwitch:
         self.recovery_events = 0
         self.degraded_slots = 0
         self.masked_grants = 0
-        # Untraced slots with a bitmask-kernel scheduler take the
-        # branch-free fast loop: requests come straight from the VOQ
-        # bitmasks, so no request matrix, no defensive copy and no numpy
-        # scratch is ever allocated. A metrics registry alone keeps the
-        # fast loop (tallies are flushed per block). Results and metrics
-        # are bit-identical to the instrumented loop (property-tested in
-        # tests/fastpath/ and tests/obs/).
-        # The capability probe is type-level on purpose: wrappers like
-        # RequestLossFilter forward unknown attributes to their inner
-        # scheduler, and a forwarded schedule_masks would bypass the
-        # wrapper's own filtering.
-        self._fast_slot = self._probe_fast_slot()
         if injector is not None:
             self._down_in_prev = np.zeros(n, dtype=bool)
             self._down_out_prev = np.zeros(n, dtype=bool)
@@ -205,21 +197,6 @@ class InputQueuedSwitch:
                 self._m_recovery_time = metrics.histogram(
                     "recovery_time", (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
                 )
-
-    def _probe_fast_slot(self) -> bool:
-        """Whether the current scheduler/instrumentation combination can
-        take the branch-free bitmask loop (see the comment in
-        ``__init__``)."""
-        return (
-            self.tracer is None
-            and self.injector is None
-            and self.adapter is None
-            and self.output_gate is None
-            and self.forward_sink is None
-            and self.admission is None
-            and getattr(self.scheduler, "weight_kind", None) is None
-            and callable(getattr(type(self.scheduler), "schedule_masks", None))
-        )
 
     def reset_run(self, scheduler: Scheduler | None = None) -> None:
         """Re-arm the switch for a fresh run without rebuilding it.
@@ -253,7 +230,6 @@ class InputQueuedSwitch:
                     f"config has {self.config.n_ports} ports"
                 )
             self.scheduler = scheduler
-            self._fast_slot = self._probe_fast_slot()
         else:
             self.scheduler.reset()
         for pq in self.pqs:
@@ -281,195 +257,67 @@ class InputQueuedSwitch:
 
     def step(self, slot: int, arrivals: np.ndarray) -> np.ndarray:
         """Advance one time slot; returns the schedule that was applied."""
-        if self._fast_slot:
-            return np.array(self._run_fast(slot, (arrivals,)), dtype=np.int64)
-        observing = self._observing
-        injector = self.injector
-        if injector is not None:
-            down_in = injector.down_inputs(slot)
-            self._track_faults(slot, down_in, injector.down_outputs(slot))
-            if injector.degraded(slot):
-                self.degraded_slots += 1
-                if self.metrics is not None:
-                    self._m_degraded.inc()
+        return np.array(self.run_slots(slot, (arrivals,)), dtype=np.int64)
 
-        # 1. Generation into PQs. Hosts keep sending while their ingress
-        #    is down — the backlog builds in the PQ, which is exactly the
-        #    queue buildup the recovery-time metric measures. Admission
-        #    control evaluates once per slot, before generation, and a
-        #    shedding switch discards arrivals here — upstream of the
-        #    PQs, so no queue state is consumed by a shed packet.
-        admission = self.admission
-        if admission is not None:
-            admission.update(self.total_queued())
-        for i in range(self.n):
-            dst = arrivals[i]
-            if dst != NO_ARRIVAL:
-                if self.measuring:
-                    self.offered += 1
-                if admission is not None and admission.shedding:
-                    admission.shed(slot, i, int(dst))
-                    continue
-                accepted = self.pqs[i].push(int(dst), slot)
-                if observing:
-                    self._record_arrival(slot, i, int(dst), accepted)
+    def run_slots(self, first_slot: int, arrivals_block) -> list[int]:
+        """Advance one consecutive block of slots; returns the last
+        slot's grant list.
 
-        # 2. Injection: one packet per input link per slot, head blocking.
-        #    A down input's link carries nothing.
-        for i, pq in enumerate(self.pqs):
-            if injector is not None and down_in[i]:
-                continue
-            head = pq.head()
-            if head is not None and self.voqs.has_space(i, head[0]):
-                dst, t_generated = pq.pop()
-                self.voqs.push(i, dst, t_generated)
-                if observing and self.tracer is not None:
-                    self.tracer.emit(ev.enqueue(slot, i, dst))
+        The Figure 11 stages of every slot, worked directly on the
+        queues' deques and the request bitmasks (``VOQSet.row_masks`` /
+        ``col_masks``, one Python int per port at any width): no queue
+        method is called. Generation and injection run as one pass per
+        input: input ``i``'s two stages touch only PQ ``i`` and VOQ row
+        ``i``, so fusing them changes no result. An arrival at an empty
+        PQ whose VOQ has room goes straight into the VOQ, which is what
+        push-then-inject would do.
 
-        # 3. Scheduling. Weight-based schedulers (LQF/OCF) receive the
-        #    state their priority rule ranks by; everyone else sees the
-        #    boolean request matrix. ``seen`` is the effective request
-        #    matrix the scheduler works from: injector-masked in the
-        #    informed stance (no adapter), adapter-filtered in the
-        #    blind stance, ``None`` (= raw requests) otherwise.
-        mask = injector.request_mask(slot) if injector is not None else None
-        adapter = self.adapter
-        if adapter is not None:
-            seen = adapter.filter_requests(slot, self.voqs.request_matrix())
-        elif mask is not None:
-            seen = self.voqs.request_matrix() & mask
-        else:
-            seen = None
-        blocked = self.output_gate(slot) if self.output_gate is not None else None
-        if blocked is not None:
-            if seen is None:
-                seen = self.voqs.request_matrix() & ~blocked
-            else:
-                seen = seen & ~blocked
-        if observing:
-            request_total = self._record_requests(slot, seen)
-        weight_kind = getattr(self.scheduler, "weight_kind", None)
-        if weight_kind == "occupancy":
-            weights = self.voqs.occupancy
-            if seen is not None:
-                weights = np.where(seen, weights, 0)
-            schedule = self.scheduler.schedule_weighted(weights)
-        elif weight_kind == "hol_age":
-            heads = self.voqs.head_timestamps()
-            ages = np.where(heads >= 0, slot - heads + 1, 0)
-            if seen is not None:
-                ages = np.where(seen, ages, 0)
-            schedule = self.scheduler.schedule_weighted(ages)
-        else:
-            matrix = seen if seen is not None else self.voqs.request_matrix()
-            schedule = self.scheduler.schedule(matrix)
-        if blocked is not None:
-            # Credit gate: no grant crosses into a full boundary queue.
-            # This runs *before* ``proposed`` is taken so the adapter
-            # never observes a backpressure drop as a failed grant.
-            for i in range(self.n):
-                j = schedule[i]
-                if j != NO_GRANT and blocked[j]:
-                    schedule[i] = NO_GRANT
-                    self.blocked_grants += 1
-        proposed = schedule
-        if mask is not None:
-            # Defensive fabric gate: whatever the scheduler emitted, no
-            # grant crosses a faulted crosspoint. In the informed stance
-            # this should never fire for a well-behaved scheduler, but
-            # it is the invariant the resilience property tests rely on;
-            # in the blind stance it is the fault model itself — every
-            # grant it drops is a wasted slot the adapter learns from.
-            if adapter is not None:
-                proposed = schedule.copy()
-            for i in range(self.n):
-                j = schedule[i]
-                if j != NO_GRANT and not mask[i, j]:
-                    schedule[i] = NO_GRANT
-                    self.masked_grants += 1
-                    if self.metrics is not None:
-                        self._m_masked.inc()
-        if adapter is not None:
-            if mask is not None:
-                adapter.note_truth(slot, mask)
-            adapter.observe(slot, proposed, schedule)
-        if observing:
-            self._record_decisions(slot, schedule, request_total)
-
-        # 4. Forwarding.
-        sink = self.forward_sink
-        for i in range(self.n):
-            j = schedule[i]
-            if j == NO_GRANT:
-                continue
-            t_generated = self.voqs.pop(i, int(j))
-            if sink is not None:
-                delay = sink(slot, i, int(j), t_generated)
-            else:
-                delay = slot - t_generated + 1
-            if self.measuring:
-                self.forwarded += 1
-                self.latency.add(delay)
-            if observing:
-                self._record_forward(slot, i, int(j), delay)
-        if self.measuring and self.service is not None:
-            self.service.record(schedule)
-        return schedule
-
-    def run_slots(self, first_slot: int, arrivals_block: list[np.ndarray]) -> None:
-        """Advance one consecutive block of slots.
-
-        Equivalent to calling :meth:`step` once per entry of
-        ``arrivals_block`` with slots ``first_slot, first_slot+1, ...``,
-        but on the fast path the per-slot dispatch overhead is paid once
-        per *block*: attribute lookups are hoisted out of the loop, the
-        destination vectors are converted to plain ints in one pass, and
-        no numpy schedule array is materialised unless service counts
-        are being collected. Statistics stay bit-identical to per-slot
-        stepping (property-tested in ``tests/fastpath/``).
+        Every optional stage is bound once per block and tested where
+        it acts: the injector's down inputs, request mask and grant
+        gate; admission (a shedding slot discards its arrivals before
+        the pass); the adapter; the output gate; the forward sink; the
+        tracer (a slot's ``enqueue`` events follow its arrival events,
+        as separate stages would emit them); and metrics, tallied
+        locally and added to the registry when the block ends. A hook
+        that thins requests makes the scheduler see masked copies of
+        the masks. A scheduler whose class defines ``schedule_masks``
+        runs on the masks; the others get the unpacked request matrix
+        (``schedule``) or their weights (``schedule_weighted``). The
+        check is on the class because wrappers such as
+        :class:`~repro.faults.channel.RequestLossFilter` forward unknown
+        attributes to their inner scheduler, and a forwarded
+        ``schedule_masks`` would skip the wrapper's own filtering.
 
         ``measuring`` must not change mid-block — the simulation driver
         splits its blocks at the warmup boundary.
         """
-        if self._fast_slot:
-            self._run_fast(first_slot, arrivals_block)
-            return
-        slot = first_slot
-        for arrivals in arrivals_block:
-            self.step(slot, arrivals)
-            slot += 1
-
-    def _run_fast(self, first_slot: int, arrivals_block) -> list[int]:
-        """The branch-free slot loop over VOQ bitmasks; returns the last
-        slot's grant list.
-
-        Same four stages in the same order as :meth:`step`, worked
-        directly on the queues' deques and the request bitmasks
-        (``VOQSet.row_masks`` / ``col_masks``, one Python int per port
-        at any width) — no queue method is called and no request matrix
-        is built. Generation and injection run as one pass per input:
-        input ``i``'s two stages touch only PQ ``i`` and VOQ row ``i``,
-        so fusing them changes no result. An arrival at an empty PQ
-        whose VOQ has room goes straight into the VOQ, which is what
-        push-then-inject would do. With a metrics registry attached,
-        counters and histograms are tallied locally and added to the
-        registry once, when the block ends.
-        """
+        n = self.n
         measuring = self.measuring
         pqs = self.pqs
         pq_queues = [pq._queue for pq in pqs]
         pq_capacity = self.config.pq_capacity
-        voqs = self.voqs
-        voq_rows = voqs._queues
-        voq_capacity = voqs.capacity
-        rows, cols = voqs.row_masks, voqs.col_masks
+        voq_rows = self.voqs._queues
+        voq_capacity = self.voqs.capacity
+        rows, cols = self.voqs.row_masks, self.voqs.col_masks
         scheduler = self.scheduler
-        kernel = scheduler.schedule_masks
+        weight_kind = getattr(scheduler, "weight_kind", None)
+        kernel = None
+        if weight_kind is None and callable(
+            getattr(type(scheduler), "schedule_masks", None)
+        ):
+            kernel = scheduler.schedule_masks
         latency_add = self.latency.add
         service = self.service if measuring else None
+        injector, admission = self.injector, self.admission
+        adapter, gate, sink = self.adapter, self.output_gate, self.forward_sink
+        thinning = injector is not None or adapter is not None or gate is not None
+        tracer = self.tracer
+        traced = tracer is not None
+        if traced:
+            emit = tracer.emit
+            enqueues: list[dict] = []
         metered = self.metrics is not None
         if metered:
-            n = self.n
             rate_observe = self.rate_estimator.observe
             delay_add = self.delay_histogram.add
             matching = [0] * (n + 1)
@@ -477,21 +325,56 @@ class InputQueuedSwitch:
             depths = [0] * n
             overrides = 0
             live_slot = self._live_slot
+        observing = traced or metered
         # The distributed RR overlay pre-matches its position before the
         # kernel's iterations run, so its record never shows that grant.
-        track_rr = metered and getattr(scheduler, "rr_position", None) is not None
-        arrived = dropped = forwarded = 0
+        track_rr = observing and getattr(scheduler, "rr_position", None) is not None
+        queued = self.total_queued() if admission is not None else 0
+        arrived = dropped = shed = forwarded = 0
+        down = mask = None
         grants: list[int] = []
 
         slot = first_slot
         for arrivals in arrivals_block:
+            dsts = arrivals.tolist()
+            if injector is not None:
+                down_in = injector.down_inputs(slot)
+                self._track_faults(slot, down_in, injector.down_outputs(slot))
+                if injector.degraded(slot):
+                    self.degraded_slots += 1
+                    if metered:
+                        self._m_degraded.inc()
+                # Hosts keep sending while their ingress is down: the
+                # backlog builds in the PQ, and the link injects nothing.
+                down = down_in.tolist() if down_in.any() else None
+                mask = injector.request_mask(slot)
+            if admission is not None:
+                # One decision per slot, on the occupancy the slot starts
+                # with; a shed arrival never reaches a PQ.
+                admission.update(queued + arrived - dropped - shed - forwarded)
+                if admission.shedding:
+                    for i, dst in enumerate(dsts):
+                        if dst != NO_ARRIVAL:
+                            arrived += 1
+                            shed += 1
+                            admission.shed(slot, i, dst)
+                    dsts = [NO_ARRIVAL] * n
+            if traced:
+                # Whether an arrival drops depends only on the length its
+                # PQ starts the slot with, so the events go out first.
+                for i, dst in enumerate(dsts):
+                    if dst != NO_ARRIVAL:
+                        emit(ev.arrival(slot, i, dst))
+                        if len(pq_queues[i]) >= pq_capacity:
+                            emit(ev.drop(slot, i, dst))
+
             # 1 + 2. Generation into PQ i, then one packet from its head
             #    into VOQ row i (a full VOQ blocks the head).
-            for i, dst in enumerate(arrivals.tolist()):
+            for i, dst in enumerate(dsts):
                 pq = pq_queues[i]
                 if dst != NO_ARRIVAL:
                     arrived += 1
-                    if not pq:
+                    if not pq and (down is None or not down[i]):
                         # The arrival is the PQ's head: it moves into
                         # its VOQ at once, or waits behind a full one.
                         voq = voq_rows[i][dst]
@@ -501,6 +384,8 @@ class InputQueuedSwitch:
                             if not depth:
                                 rows[i] |= 1 << dst
                                 cols[dst] |= 1 << i
+                            if traced:
+                                enqueues.append(ev.enqueue(slot, i, dst))
                         else:
                             pq.append((dst, slot))
                         continue
@@ -511,6 +396,8 @@ class InputQueuedSwitch:
                         pq.append((dst, slot))
                 elif not pq:
                     continue
+                if down is not None and down[i]:
+                    continue
                 head_dst, t_generated = pq[0]
                 voq = voq_rows[i][head_dst]
                 depth = len(voq)
@@ -520,15 +407,80 @@ class InputQueuedSwitch:
                     if not depth:
                         rows[i] |= 1 << head_dst
                         cols[head_dst] |= 1 << i
+                    if traced:
+                        enqueues.append(ev.enqueue(slot, i, head_dst))
+            if traced:
+                for event in enqueues:
+                    emit(event)
+                enqueues.clear()
 
-            # 3. Scheduling straight off the maintained bitmasks (the
-            #    kernel only reads them; forwarding updates them).
+            # 3. Scheduling. Informed stance: the injector's mask thins
+            #    the requests. Blind stance: the adapter's filter does,
+            #    and the mask only gates grants. A full boundary queue
+            #    downstream (output gate) removes its output column.
+            seen_rows, seen_cols, blocked = rows, cols, None
+            if thinning:
+                if mask is not None:
+                    mask_rows = pack_rows(mask)
+                if adapter is not None:
+                    seen = adapter.filter_requests(slot, unpack_rows(rows, n))
+                    seen_rows, seen_cols = pack_rows(seen), pack_cols(seen)
+                elif mask is not None:
+                    seen_rows = [r & m for r, m in zip(rows, mask_rows)]
+                    seen_cols = [c & m for c, m in zip(cols, pack_cols(mask))]
+                if gate is not None:
+                    blocked = gate(slot)
+                if blocked is not None:
+                    blocked = blocked.tolist()
+                    unblocked = sum(1 << j for j, b in enumerate(blocked) if not b)
+                    seen_rows = [r & unblocked for r in seen_rows]
+                    seen_cols = [0 if b else c for c, b in zip(seen_cols, blocked)]
+            if traced:
+                nrq = [r.bit_count() for r in seen_rows]
+                emit(ev.requests(slot, nrq))
             if track_rr:
                 rr_i, rr_j = scheduler.rr_position
                 self._pending_rr = (
-                    (rr_i, rr_j) if rows[rr_i] >> rr_j & 1 else None
+                    (rr_i, rr_j) if seen_rows[rr_i] >> rr_j & 1 else None
                 )
-            grants = kernel(rows, cols)
+            if kernel is not None:
+                grants = kernel(seen_rows, seen_cols)
+            elif weight_kind is None:
+                grants = scheduler.schedule(unpack_rows(seen_rows, n)).tolist()
+            else:
+                weights = self._weights(slot, weight_kind)
+                if seen_rows is not rows:
+                    weights = np.where(unpack_rows(seen_rows, n), weights, 0)
+                grants = scheduler.schedule_weighted(weights).tolist()
+            if blocked is not None:
+                # Credit gate: no grant crosses into a full boundary
+                # queue — before ``proposed`` is taken, so the adapter
+                # never observes backpressure as a failed grant.
+                for i, j in enumerate(grants):
+                    if j != NO_GRANT and blocked[j]:
+                        grants[i] = NO_GRANT
+                        self.blocked_grants += 1
+            if adapter is not None:
+                proposed = np.array(grants, dtype=np.int64)
+            if mask is not None:
+                # Fabric gate: whatever the scheduler emitted, no grant
+                # crosses a faulted crosspoint. Informed, it should never
+                # fire; blind, every grant it drops is a wasted slot the
+                # adapter learns from.
+                for i, j in enumerate(grants):
+                    if j != NO_GRANT and not mask_rows[i] >> j & 1:
+                        grants[i] = NO_GRANT
+                        self.masked_grants += 1
+                        if metered:
+                            self._m_masked.inc()
+            if adapter is not None:
+                if mask is not None:
+                    adapter.note_truth(slot, mask)
+                adapter.observe(slot, proposed, np.array(grants, dtype=np.int64))
+            if traced:
+                self._trace_decisions(slot, grants, sum(nrq))
+            if metered:
+                overrides += self._fold_decisions(choices, depths)
 
             # 4. Forwarding. A granted VOQ is non-empty, so its bits are
             #    set and emptying it toggles them off.
@@ -537,24 +489,30 @@ class InputQueuedSwitch:
                 if j == NO_GRANT:
                     continue
                 voq = voq_rows[i][j]
-                delay = slot - voq.popleft() + 1
+                t_generated = voq.popleft()
                 if not voq:
                     rows[i] ^= 1 << j
                     cols[j] ^= 1 << i
+                if sink is None:
+                    delay = slot - t_generated + 1
+                else:
+                    delay = sink(slot, i, j, t_generated)
                 forwarded += 1
                 if measuring:
                     latency_add(delay)
-                if metered:
-                    rate_observe(i, j, slot)
-                    delay_add(delay)
+                if observing:
+                    if metered:
+                        rate_observe(i, j, slot)
+                        delay_add(delay)
+                    if traced:
+                        emit(ev.forward(slot, i, j, delay))
             if metered:
                 size = forwarded - slot_start
                 matching[size] += 1
                 if size:
                     live_slot = slot
-                overrides += self._fold_decisions(choices, depths)
             if service is not None:
-                service.record(np.array(grants, dtype=np.int64))
+                service.record(grants)
             slot += 1
 
         if measuring:
@@ -562,17 +520,25 @@ class InputQueuedSwitch:
             self.forwarded += forwarded
         if metered:
             self._flush_decisions(matching, choices, depths, overrides)
-            self._m_arrivals.inc(arrived)
+            self._m_arrivals.inc(arrived - shed)
             self._m_dropped.inc(dropped)
             self._m_forwarded.inc(forwarded)
             self._live_slot = live_slot
         return grants
 
+    def _weights(self, slot: int, weight_kind: str) -> np.ndarray:
+        """The state a weight-based scheduler ranks by: VOQ occupancy
+        (LQF) or head-of-line age (OCF)."""
+        if weight_kind == "occupancy":
+            return self.voqs.occupancy
+        heads = self.voqs.head_timestamps()
+        return np.where(heads >= 0, slot - heads + 1, 0)
+
     # -- fault tracking (only reached with an injector attached) --
 
     def _input_backlog(self, port: int) -> int:
         """Packets queued anywhere behind one input (PQ + its VOQs)."""
-        return len(self.pqs[port]) + int(self.voqs.occupancy[port].sum())
+        return len(self.pqs[port]) + sum(map(len, self.voqs._queues[port]))
 
     def _track_faults(
         self, slot: int, down_in: np.ndarray, down_out: np.ndarray
@@ -624,56 +590,11 @@ class InputQueuedSwitch:
 
     # -- observability (only reached with a tracer or metrics attached) --
 
-    def _record_arrival(self, slot: int, input: int, output: int, accepted: bool) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(ev.arrival(slot, input, output))
-            if not accepted:
-                self.tracer.emit(ev.drop(slot, input, output))
-        if self.metrics is not None:
-            self._m_arrivals.inc()
-            if not accepted:
-                self._m_dropped.inc()
-
-    def _record_requests(self, slot: int, seen: np.ndarray | None = None) -> int:
-        """Emit the NRQ (choice-count) vector; returns total requests.
-
-        ``seen`` is the effective request matrix the scheduler will
-        work from (injector-masked or adapter-filtered); ``None`` means
-        the raw occupancy-derived requests.
-        """
-        matrix = seen if seen is not None else self.voqs.request_matrix()
-        nrq = matrix.sum(axis=1)
-        if self.tracer is not None:
-            self.tracer.emit(ev.requests(slot, [int(x) for x in nrq]))
-        # The distributed RR overlay (lcf_dist_rr) pre-matches its
-        # position before the iterations run; note it now, because the
-        # iteration trace never sees that grant.
-        rr_pos = getattr(self.scheduler, "rr_position", None)
-        self._pending_rr = (
-            rr_pos if rr_pos is not None and matrix[rr_pos] else None
-        )
-        return int(nrq.sum())
-
-    def _record_decisions(
-        self, slot: int, schedule: np.ndarray, request_total: int
-    ) -> None:
-        """Translate the scheduler's decision recorder into events/metrics."""
-        matching_size = int(np.count_nonzero(schedule != NO_GRANT))
-        if self.tracer is not None:
-            self._trace_decisions(slot, matching_size, request_total)
-        if self.metrics is not None:
-            n = self.n
-            matching = [0] * (n + 1)
-            matching[matching_size] = 1
-            choices = [0] * (n + 1)
-            depths = [0] * n
-            overrides = self._fold_decisions(choices, depths)
-            self._flush_decisions(matching, choices, depths, overrides)
-
     def _trace_decisions(
-        self, slot: int, matching_size: int, request_total: int
+        self, slot: int, grants: list[int], request_total: int
     ) -> None:
-        """Emit the decision-recorder events and the slot summary."""
+        """Emit the decision-recorder events and the slot summary (VOQ
+        occupancy per input before forwarding)."""
         tracer = self.tracer
         trace = getattr(self.scheduler, "last_trace", None)
         if trace and isinstance(trace[0], StepTrace):
@@ -707,7 +628,8 @@ class InputQueuedSwitch:
                 )
             if self._pending_rr is not None:
                 tracer.emit(ev.rr_override(slot, *self._pending_rr))
-        voq = [int(x) for x in self.voqs.occupancy.sum(axis=1)]
+        voq = [sum(map(len, row)) for row in self.voqs._queues]
+        matching_size = self.n - grants.count(NO_GRANT)
         tracer.emit(ev.slot_summary(slot, matching_size, request_total, voq))
 
     def _fold_decisions(self, choices: list[int], depths: list[int]) -> int:
@@ -760,15 +682,6 @@ class InputQueuedSwitch:
         self._m_slots.inc(sum(matching))
         self._m_grants.inc(sum(size * times for size, times in enumerate(matching)))
         self._m_rr.inc(overrides)
-
-    def _record_forward(self, slot: int, input: int, output: int, delay: int) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(ev.forward(slot, input, output, delay))
-        if self.metrics is not None:
-            self._m_forwarded.inc()
-            self.rate_estimator.observe(input, output, slot)
-            self.delay_histogram.add(delay)
-            self._live_slot = slot
 
     def _collect_live(self) -> None:
         """Refresh the derived live-telemetry gauges (collector hook).

@@ -8,7 +8,7 @@ something asks for them. The one thing kept incrementally is the
 request bitmask pair (``VOQSet.row_masks`` / ``col_masks``), updated on
 0 <-> 1 transitions; the request matrix is unpacked from it.
 
-The crossbar's fast slot loop works on ``PacketQueue._queue`` and
+The crossbar's slot body works on ``PacketQueue._queue`` and
 ``VOQSet._queues`` (a list of rows of deques) and on the masks
 directly, so it must keep the same invariants as the methods here:
 capacity checks before every append and a mask transition whenever a
@@ -134,7 +134,7 @@ class VOQSet:
         for row in self._queues:
             for queue in row:
                 queue.clear()
-        # Mutate the mask containers in place: the crossbar's fast loop
+        # Mutate the mask containers in place: the crossbar's slot body
         # holds direct references to them.
         self.row_masks[:] = [0] * self.n
         self.col_masks[:] = [0] * self.n

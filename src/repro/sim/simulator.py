@@ -167,8 +167,8 @@ def build_switch(
     faults it is rejected for the dedicated switch models.
 
     The scheduler comes from :func:`make_crossbar_scheduler`; a bitset
-    kernel lets the crossbar take its fast loop whenever nothing
-    attached needs the instrumented one (see
+    kernel schedules straight off the crossbar's request bitmasks,
+    whatever hooks are attached (see
     :class:`~repro.sim.crossbar.InputQueuedSwitch`).
     """
     if scheduler_name in ("outbuf", "fifo"):

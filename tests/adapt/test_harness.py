@@ -75,6 +75,16 @@ def test_results_are_cache_backed(tmp_path):
         assert again.adaptive[key].row() == result.row()
 
 
+def test_bad_grid_writes_no_cache_entry(tmp_path):
+    cache = tmp_path / "cache"
+    with pytest.raises(ValueError, match="availability"):
+        run_adaptive_sweep(
+            SCHEDULERS, availabilities=(1.0, 1.5), load=0.7, config=CONFIG,
+            period=40, cache=cache,
+        )
+    assert not cache.exists() or not any(cache.iterdir())
+
+
 def test_adapt_spec_accepts_config_and_pairs(tmp_path):
     config = AdaptConfig(probe_interval=2)
     by_config = run_adaptive_sweep(

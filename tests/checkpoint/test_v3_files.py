@@ -116,7 +116,6 @@ def test_reference_wfront_file_resumes_onto_the_kernel(tmp_path, monkeypatch):
     assert resumed.row() == straight.row()
     (switch,) = built
     assert type(switch.scheduler) is FastWrappedWaveFront
-    assert switch._fast_slot
 
 
 @pytest.mark.parametrize("name", ["checkpoint_v4_wfront.json", "checkpoint_v4_mirror.json"])

@@ -1,10 +1,11 @@
-"""The switch's zero-allocation fast slot loop.
+"""The switch's one slot body on the request bitmasks.
 
-Engagement rules (the loop must only run when it is exactly equivalent
-to the instrumented loop), bit-identity of whole runs, and the
-degraded-mode wrapper interaction: the type-level capability probe must
-never let attribute forwarding smuggle an unfiltered ``schedule_masks``
-past a loss filter.
+Dispatch (a scheduler whose class defines ``schedule_masks`` runs on the
+masks, every other one on the request matrix or its weights, whatever
+hooks are attached), bit-identity of whole runs against the reference
+kernels, and the degraded-mode wrapper interaction: attribute
+forwarding must never smuggle an unfiltered ``schedule_masks`` past a
+loss filter.
 """
 
 import numpy as np
@@ -20,9 +21,11 @@ from repro.fastpath.lcf import FastLCFCentralRR
 from repro.fastpath.registry import _reference_kernels, fast_schedulers
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import RingTracer
+from repro.sim.admission import AdmissionController
 from repro.sim.config import SimConfig
 from repro.sim.crossbar import InputQueuedSwitch
 from repro.sim.simulator import build_switch, run_simulation
+from repro.traffic.bernoulli import BernoulliUniform
 
 CONFIG = SimConfig(n_ports=4, warmup_slots=10, measure_slots=60, seed=9)
 #: Past 64 ports a request mask no longer fits one machine word; the
@@ -62,65 +65,87 @@ def equivalence_cases(names):
     ]
 
 
+def entry_points(switch, slots=20):
+    """The scheduler methods ``switch`` calls over ``slots`` slots of
+    load-0.9 traffic: ``schedule_masks`` (the request bitmasks),
+    ``schedule`` (the request matrix) or ``schedule_weighted``."""
+    called = set()
+    scheduler = switch.scheduler
+    for name in ("schedule_masks", "schedule", "schedule_weighted"):
+        method = getattr(scheduler, name, None)
+        if method is None:
+            continue
+
+        def spy(*args, _name=name, _method=method, **kwargs):
+            called.add(_name)
+            return _method(*args, **kwargs)
+
+        setattr(scheduler, name, spy)
+    switch.run_slots(0, BernoulliUniform(switch.n, 0.9, seed=3).arrivals_block(slots))
+    return called
+
+
 class TestEngagement:
     def test_bare_bitset_kernel_takes_the_fast_loop(self):
         switch = InputQueuedSwitch(CONFIG, FastLCFCentralRR(4))
-        assert switch._fast_slot
+        assert entry_points(switch) == {"schedule_masks"}
 
     def test_reference_scheduler_does_not(self):
         switch = InputQueuedSwitch(CONFIG, make_scheduler("lcf_central_rr", 4))
-        assert not switch._fast_slot
-
-    def test_instrumentation_disables_the_fast_loop(self):
-        switch = InputQueuedSwitch(
-            CONFIG, FastLCFCentralRR(4), tracer=RingTracer(1 << 10)
-        )
-        assert not switch._fast_slot
+        assert entry_points(switch) == {"schedule"}
 
     def test_metrics_alone_keep_the_fast_loop(self):
         switch = InputQueuedSwitch(
             CONFIG, FastLCFCentralRR(4), metrics=MetricsRegistry()
         )
-        assert switch._fast_slot
-        # ...but a tracer next to them still needs every event in order.
-        traced = InputQueuedSwitch(
-            CONFIG,
-            FastLCFCentralRR(4),
-            metrics=MetricsRegistry(),
-            tracer=RingTracer(1 << 10),
-        )
-        assert not traced._fast_slot
+        assert entry_points(switch) == {"schedule_masks"}
 
-    def test_topology_faults_disable_the_fast_loop(self):
-        plan = FaultPlan(port_down=(PortDownInterval(1, 5, 20, "input"),))
-        switch = InputQueuedSwitch(
-            CONFIG, FastLCFCentralRR(4), injector=FaultInjector(plan, 4, seed=1)
-        )
-        assert not switch._fast_slot
-
-    def test_adapter_disables_the_fast_loop(self):
-        switch = InputQueuedSwitch(CONFIG, FastLCFCentralRR(4), adapter=AdaptiveLCF())
-        assert not switch._fast_slot
+    @pytest.mark.parametrize(
+        "hooks",
+        [
+            lambda: {"tracer": RingTracer(1 << 10), "metrics": MetricsRegistry()},
+            lambda: {"injector": FaultInjector(
+                FaultPlan(port_down=(PortDownInterval(1, 5, 20, "input"),)), 4, seed=1
+            )},
+            lambda: {"adapter": AdaptiveLCF()},
+            lambda: {"admission": AdmissionController(2, 4)},
+        ],
+        ids=["tracer", "topology-faults", "adapter", "admission"],
+    )
+    def test_hooks_keep_the_kernel_on_its_masks(self, hooks):
+        switch = InputQueuedSwitch(CONFIG, FastLCFCentralRR(4), **hooks())
+        assert entry_points(switch) == {"schedule_masks"}
 
     def test_weight_scheduler_never_takes_the_fast_loop(self):
         switch = InputQueuedSwitch(CONFIG, make_scheduler("lqf", 4))
-        assert not switch._fast_slot
+        assert entry_points(switch) == {"schedule_weighted"}
 
     def test_forwarded_schedule_masks_does_not_fool_the_probe(self):
         # The plain RequestLossFilter forwards unknown attributes to the
         # wrapped scheduler, so instances *appear* to have
-        # schedule_masks — taking the fast loop through that forwarding
-        # would skip the loss model entirely. The probe is type-level
-        # exactly so this wrapper stays on the instrumented loop.
-        injector = FaultInjector(FaultPlan(request_loss=0.3), 4, seed=1)
-        wrapped = RequestLossFilter(FastLCFCentralRR(4), injector)
+        # schedule_masks — scheduling through that forwarding would skip
+        # the loss model entirely. The dispatch is on the class, so the
+        # wrapper around a bitset kernel runs its own filter and matches
+        # the same wrapper around the reference scheduler.
+        def row(scheduler):
+            switch = InputQueuedSwitch(CONFIG, scheduler)
+            simulator._drive(CONFIG, switch, BernoulliUniform(4, 0.9, seed=9), None)
+            result = simulator._package_result(CONFIG, "lcf", 0.9, switch, True)
+            return result.row()
+
+        def injector():
+            return FaultInjector(FaultPlan(request_loss=0.3), 4, seed=1)
+
+        wrapped = RequestLossFilter(FastLCFCentralRR(4), injector())
         assert callable(wrapped.schedule_masks)  # forwarding is live...
-        assert not InputQueuedSwitch(CONFIG, wrapped)._fast_slot  # ...ignored
+        reference = RequestLossFilter(make_scheduler("lcf_central_rr", 4), injector())
+        assert row(wrapped) == row(reference)  # ...ignored
+        assert row(wrapped) != row(FastLCFCentralRR(4))
 
     def test_fast_loss_filter_takes_the_fast_loop_with_its_own_kernel(self):
         # FastRequestLossFilter defines schedule_masks on the class, so
-        # the fast loop runs *through* the loss model, never around it —
-        # at one machine word and past it.
+        # the switch schedules *through* the loss model on the masks,
+        # never around it — at one machine word and past it.
         for config in (CONFIG, WIDE):
             n = config.n_ports
             switch = build_switch(
@@ -129,7 +154,7 @@ class TestEngagement:
                 injector=FaultInjector(FaultPlan(request_loss=0.3), n, seed=1),
             )
             assert isinstance(switch.scheduler, FastRequestLossFilter), n
-            assert switch._fast_slot, n
+            assert entry_points(switch) == {"schedule_masks"}, n
 
 
 class TestDefaults:
@@ -140,7 +165,6 @@ class TestDefaults:
     def test_plain_build_switch_gets_the_bitset_kernel(self, name):
         switch = build_switch(CONFIG, name)
         assert callable(type(switch.scheduler).schedule_masks)
-        assert switch._fast_slot
 
     @pytest.mark.parametrize("name", fast_schedulers())
     def test_plain_run_simulation_gets_the_bitset_kernel(self, name, monkeypatch):
@@ -156,7 +180,8 @@ class TestDefaults:
 
     @pytest.mark.parametrize("name", fast_schedulers())
     def test_metrics_only_switch_takes_the_fast_loop(self, name):
-        assert build_switch(CONFIG, name, metrics=MetricsRegistry())._fast_slot
+        switch = build_switch(CONFIG, name, metrics=MetricsRegistry())
+        assert entry_points(switch) == {"schedule_masks"}
 
     def test_reference_override_builds_the_reference_scheduler(self):
         with _reference_kernels():
@@ -216,7 +241,6 @@ class TestFastLoopStatistics:
 
         fast = InputQueuedSwitch(CONFIG, FastLCFCentralRR(4))
         reference = InputQueuedSwitch(CONFIG, make_scheduler("lcf_central_rr", 4))
-        assert fast._fast_slot and not reference._fast_slot
         fast.measuring = reference.measuring = True
         pattern = BernoulliUniform(4, 0.9, seed=3)
         for slot in range(200):
@@ -242,7 +266,6 @@ class TestFastLoopStatistics:
             metrics=slow_metrics,
             tracer=RingTracer(1 << 10),
         )
-        assert fast._fast_slot and not slow._fast_slot
         pattern = BernoulliUniform(4, 0.9, seed=3)
         for slot in range(120):
             arrivals = pattern.arrivals()

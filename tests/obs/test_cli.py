@@ -49,6 +49,27 @@ def test_chrome_export_is_loadable_json(tmp_path, capsys):
     assert f"wrote {chrome}" in stdout
 
 
+def test_checkpointed_chrome_export_without_out_holds_the_run(tmp_path, capsys):
+    # With no --out the checkpoint and resume flows trace into memory,
+    # so --chrome gets the same run events a JSONL trace would give.
+    def run_events(*argv):
+        chrome = tmp_path / "trace.json"
+        assert cli.main([*argv, "--chrome", str(chrome), "--quiet"]) == 0
+        events = json.loads(chrome.read_text())["traceEvents"]
+        return [event for event in events if event["ph"] != "M"]
+
+    ck = str(tmp_path / "ck")
+    run = ["--ports", "4", "--slots", "60", "--checkpoint", ck]
+    out = ["--out", str(tmp_path / "t.jsonl")]
+    whole = run_events(*run)
+    assert len(whole) > 60
+    assert whole == run_events(*run, *out)
+    run_events(*run, "--stop-at", "30")
+    resumed = run_events("--resume", ck)
+    assert 0 < len(resumed) < len(whole)
+    assert resumed == run_events("--resume", ck, *out)
+
+
 def test_in_memory_run_without_output_files(capsys):
     code, stdout, _ = run_cli(
         capsys, "--scheduler", "lcf_central", "--ports", "4", "--slots", "60"

@@ -1,11 +1,9 @@
-"""Metrics-only runs on the fast slot loop equal the instrumented loop.
+"""Metrics-only runs equal traced runs, registry for registry.
 
-A switch whose only instrumentation is a :class:`MetricsRegistry` runs
-the bitmask fast loop and flushes its tallies once per driver block.
-Attaching a tracer as well forces the instrumented per-event loop with
-the same kernels, so the two registries must end up identical: every
-counter, histogram and gauge (rates, exact delay percentiles, queue
-depth). No private knob is involved — the tracer is the switch.
+A switch tallies its metrics locally and flushes them once per block of
+slots. Attaching a tracer as well must change nothing the registry
+sees, so the two registries must end up identical: every counter,
+histogram and gauge (rates, exact delay percentiles, queue depth).
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.serve import SnapshotExporter
 from repro.obs.tracer import RingTracer
 from repro.sim.config import SimConfig
-from repro.sim.simulator import build_switch, run_simulation
+from repro.sim.simulator import run_simulation
 
 
 def _run(config, scheduler, load, *, traced, **kwargs):
@@ -36,8 +34,6 @@ def _run(config, scheduler, load, *, traced, **kwargs):
 def test_fast_loop_metrics_equal_instrumented_loop(scheduler, n, load):
     # 130 slots: blocks of 30, 64 and 36 — a warmup split and a short tail.
     config = SimConfig(n_ports=n, warmup_slots=30, measure_slots=100, seed=n)
-    switch = build_switch(config, scheduler, metrics=MetricsRegistry())
-    assert switch._fast_slot
     fast, fast_metrics = _run(config, scheduler, load, traced=False)
     slow, slow_metrics = _run(config, scheduler, load, traced=True)
     assert fast.row() == slow.row()

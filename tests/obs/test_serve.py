@@ -245,18 +245,22 @@ class TestScrapeEdgeCases:
         registry = populated_registry()
         exporter = SnapshotExporter(registry, tmp_path / "snap.json", fmt="json")
         stop = threading.Event()
+        written = threading.Event()
 
         def churn() -> None:
             slot = 0
             while not stop.is_set():
                 registry.counter("forwarded").inc()
                 exporter.write(slot)
+                written.set()
                 slot += 1
 
         writer = threading.Thread(target=churn, daemon=True)
         with ScrapeEndpoint(registry) as endpoint:
             writer.start()
             try:
+                # snap.json exists once the first write has landed.
+                assert written.wait(timeout=5)
                 json_url = endpoint.url.replace("/metrics", "/metrics.json")
                 for _ in range(25):
                     with urllib.request.urlopen(endpoint.url, timeout=5) as response:

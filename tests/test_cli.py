@@ -112,7 +112,7 @@ SHARED = [
     *(("lcf-fabric", arg) for arg in (
         "--load 1.5", "--slots -5", "--warmup -1", "--iterations 0",
         "--seed -1", "--traffic nope", "--load-grid ,", "--load-grid 0.5,2.0",
-        "--shards 0",
+        "--shards 0", "--boundary 0", "--link-delay 0",
     )),
     *(("lcf-sweep", arg) for arg in (
         "--ports 0", "--warmup-slots -1", "--measure-slots -1",
@@ -151,6 +151,14 @@ def test_bad_input_exits_2_with_one_line(prog, case, tmp_path, capsys):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"{prog}: "), err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--boundary", "--link-delay"])
+def test_fabric_refusal_names_the_flag(flag, capsys):
+    from repro.fabric.cli import main
+
+    assert main([*BASE["lcf-fabric"], flag, "0"]) == 2
+    assert capsys.readouterr().err.startswith(f"lcf-fabric: {flag}: ")
 
 
 # -- a file written without metrics resumes under every checkpoint CLI ---------

@@ -3,10 +3,10 @@
 
 Runs ``lcf_dist`` and ``lcf_dist_rr`` over a lossy control channel
 (:meth:`repro.faults.FaultPlan.message_loss`) at n in {8, 16, 80} and
-loss in {0.05, 0.3}, each once untraced (the fast slot loop) and once
-with a JSONL tracer (the instrumented loop), and prints one line per
-run: the sha256 of ``SimResult.row()`` and, for traced runs, of the
-JSONL trace file. n = 80 exercises masks wider than one 64-bit word.
+loss in {0.05, 0.3}, each once untraced and once with a JSONL tracer,
+and prints one line per run: the sha256 of ``SimResult.row()`` and,
+for traced runs, of the JSONL trace file. n = 80 exercises masks wider
+than one 64-bit word.
 
 Usage::
 
