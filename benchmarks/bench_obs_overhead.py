@@ -9,10 +9,13 @@ hard assertion: the instrumented-but-disabled slot body must run within
 out scheduler noise on shared CI hosts).
 
 A metrics registry's counters and histograms are tallied locally and
-flushed once per slot block, so ``test_enabled_metrics_overhead_budget``
-also bounds the *enabled* metrics path: an n=16 ``lcf_central_rr`` run
-with a registry attached must stay within 2.5x of the same run without
-one.
+flushed once per slot block — the LCF kernels add their decisions to a
+``DecisionTally`` instead of building per-step records, and the block's
+delays and matchings reach the live estimators in one call each — so
+``test_enabled_metrics_overhead_budget`` also bounds the *enabled*
+metrics path: an n=16 ``lcf_central_rr`` run with a registry attached
+must stay within 1.5x of the same run without one. CI's perf-smoke job
+runs that test.
 
 The remaining benchmarks are informational: what tracing *costs when
 enabled*, for sizing trace windows before a big capture.
@@ -35,7 +38,7 @@ from repro.traffic.bernoulli import BernoulliUniform
 MAX_DISABLED_OVERHEAD = 1.02
 
 #: Acceptance budget: metrics-on over metrics-off, whole fast run.
-MAX_METRICS_ON_RATIO = 2.5
+MAX_METRICS_ON_RATIO = 1.5
 
 SLOTS = 400
 
@@ -130,7 +133,7 @@ def _fast_run_seconds(metrics: bool) -> float:
 
 
 def test_enabled_metrics_overhead_budget():
-    """The metrics-on run must be within 2.5x of the metrics-off run.
+    """The metrics-on run must be within 1.5x of the metrics-off run.
 
     Whole-run min-of-repeats timing with retries, like the disabled
     budgets above.

@@ -34,8 +34,10 @@ tag decodes to whatever the fresh twin already holds, so resume-side
 wiring (a new tracer, a rebuilt injector) survives restoration.
 
 Attribute names in :data:`SKIP_ATTRS` are never captured: they either
-point at wiring (``tracer``/``metrics``/``injector``) or at per-slot
-transients regenerated before anyone reads them (``last_trace``).
+point at wiring (``tracer``/``metrics``/``injector``, the
+``decision_tally`` a metered switch attaches to its LCF scheduler) or
+at per-slot transients regenerated before anyone reads them
+(``last_trace``).
 
 A class lists in ``_restore_keeps`` the attributes its twin derives
 from its own wiring (the crossbar's fast-loop and observing flags, a
@@ -77,7 +79,10 @@ TAG = "__repro__"
 #: Attribute names excluded from capture everywhere: instrumentation
 #: wiring, rebuilt-on-resume components, and per-slot transients.
 SKIP_ATTRS = frozenset(
-    {"tracer", "metrics", "injector", "config", "policy", "last_trace"}
+    {
+        "tracer", "metrics", "injector", "config", "policy", "last_trace",
+        "decision_tally",
+    }
 )
 
 _SKIP = {TAG: "skip"}

@@ -19,7 +19,7 @@
   coverage variants spanning the fairness range ``0 .. b/n``.
 """
 
-from repro.core.base import IterativeScheduler, Scheduler
+from repro.core.base import DecisionTally, IterativeScheduler, Scheduler
 from repro.core.lcf_central import LCFCentral, LCFCentralRR
 from repro.core.lcf_dist import LCFDistributed, LCFDistributedRR
 from repro.core.multicast import MulticastCell, MulticastQueue, MulticastScheduler
@@ -29,6 +29,7 @@ from repro.core.rr_variants import RRCoverage, LCFCentralVariant
 __all__ = [
     "Scheduler",
     "IterativeScheduler",
+    "DecisionTally",
     "LCFCentral",
     "LCFCentralRR",
     "LCFDistributed",

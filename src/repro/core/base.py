@@ -66,6 +66,41 @@ class Scheduler(abc.ABC):
         return f"{type(self).__name__}(n={self.n})"
 
 
+class DecisionTally:
+    """Per-value counts of an LCF scheduler's grants, added where they
+    are decided.
+
+    ``choices[v]`` counts grants whose winner had ``v`` choices left —
+    the central NRQ, or the ``nrq`` a distributed initiator sent with
+    the request it accepted. ``depths[d]`` counts central grants that
+    went ``d`` places down the rotating tie-break chain from the
+    round-robin row. ``overrides`` counts round-robin pre-emptions: the
+    central steps the RR position won, and the distributed overlay's
+    pre-matches.
+
+    A switch attaches one to its scheduler's ``decision_tally`` when it
+    has a metrics registry, and drains it once per block of slots. It
+    is wiring, not run state: checkpoints never capture it, and a
+    resumed switch attaches its own.
+    """
+
+    __slots__ = ("choices", "depths", "overrides")
+
+    def __init__(self, n: int):
+        self.choices = [0] * (n + 1)
+        self.depths = [0] * n
+        self.overrides = 0
+
+    def drain(self) -> tuple[list[int], list[int], int]:
+        """The counts so far, ``(choices, depths, overrides)``; the tally
+        starts again from zero."""
+        counts = self.choices, self.depths, self.overrides
+        self.choices = [0] * len(counts[0])
+        self.depths = [0] * len(counts[1])
+        self.overrides = 0
+        return counts
+
+
 class IterativeScheduler(Scheduler):
     """Base class for iterative (PIM-style) schedulers.
 

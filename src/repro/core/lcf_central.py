@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.base import Scheduler, rotating_argmin
+from repro.core.base import DecisionTally, Scheduler, rotating_argmin
 from repro.types import NO_GRANT, RequestMatrix, Schedule, empty_schedule
 
 
@@ -91,6 +91,9 @@ class LCFCentralVariant(Scheduler):
         #: When True, :attr:`last_trace` records each allocation step.
         self.record_trace = False
         self.last_trace: list[StepTrace] = []
+        #: When set, every grant adds its choice count, tie-break depth
+        #: and RR override to this :class:`~repro.core.base.DecisionTally`.
+        self.decision_tally: DecisionTally | None = None
 
     # -- state ---------------------------------------------------------
 
@@ -132,6 +135,7 @@ class LCFCentralVariant(Scheduler):
         col_free = np.ones(n, dtype=bool)
         if self.record_trace:
             self.last_trace = []
+        tally = self.decision_tally
 
         if self.coverage is RRCoverage.DIAGONAL_FIRST:
             # Pre-grant every diagonal position with a request. Diagonal
@@ -169,6 +173,10 @@ class LCFCentralVariant(Scheduler):
                     StepTrace(col, rr_row, nrq.copy(), int(grant), rr_won)
                 )
             if grant != NO_GRANT:
+                if tally is not None:
+                    tally.choices[nrq[grant]] += 1
+                    tally.depths[(grant - rr_row) % n] += 1
+                    tally.overrides += rr_won
                 schedule[grant] = col
                 col_free[col] = False
                 # Outstanding requests for this column can no longer be

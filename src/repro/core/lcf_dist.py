@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.base import IterativeScheduler, rotating_argmin
+from repro.core.base import DecisionTally, IterativeScheduler, rotating_argmin
 from repro.types import NO_GRANT, RequestMatrix, Schedule, empty_schedule
 
 if TYPE_CHECKING:
@@ -108,6 +108,10 @@ class LCFDistributed(IterativeScheduler):
         #: When True, :attr:`last_trace` records every iteration.
         self.record_trace = False
         self.last_trace: list[IterationTrace] = []
+        #: When set, every accept adds the initiator's ``nrq`` to this
+        #: :class:`~repro.core.base.DecisionTally`, and the RR overlay's
+        #: pre-match an override.
+        self.decision_tally: DecisionTally | None = None
         #: Message-loss channel; ``None`` is a perfect channel.
         self.injector = injector
         # Loss-hash coordinates of the message being decided.
@@ -143,6 +147,13 @@ class LCFDistributed(IterativeScheduler):
             self._cycle += 1
             self._iteration = 0
         self._pre_iterations(requests, schedule, out_matched)
+        tally = self.decision_tally
+        if tally is not None and out_matched.any():
+            # The RR overlay pre-matched: one override, unless a lossy
+            # cycle has no other request live — such a cycle records no
+            # iteration, and a cycle without a record counts none.
+            live = requests[schedule == NO_GRANT][:, ~out_matched]
+            tally.overrides += self.injector is None or bool(live.any())
         for _ in range(self.iterations):
             if not self._iterate(requests, schedule, out_matched):
                 break  # converged: no request is left to send
@@ -158,6 +169,7 @@ class LCFDistributed(IterativeScheduler):
         get through."""
         n = self.n
         injector = self.injector
+        tally = self.decision_tally
         in_unmatched = schedule == NO_GRANT
 
         # Request step: unmatched initiators -> unmatched targets. The
@@ -212,6 +224,8 @@ class LCFDistributed(IterativeScheduler):
             self._accept_ptr[i] = (j + 1) % n
             if trace is not None:
                 trace.accepts.append((i, j))
+            if tally is not None:
+                tally.choices[nrq[i]] += 1
         if trace is not None:
             self.last_trace.append(trace)
         return bool(nrq.any())

@@ -25,16 +25,20 @@ intersection with the taken column's requesters into the next-lower
 bucket: one AND/OR per value instead of one decrement per requester.
 Decision-trace mode needs per-step NRQ snapshots, so it runs the
 per-bit scan at every width, which records one :class:`StepTrace` per
-output step when ``record_trace`` is set.
+output step when ``record_trace`` is set. A
+:class:`~repro.core.base.DecisionTally` needs only each grant's NRQ,
+chain depth and RR flag, which both bodies know where they grant, so a
+metered switch keeps its width's body.
 
 ``n > 64`` switches run this same bucketed kernel on wider masks: a
 128-port row is a five-digit Python int (30-bit digits), so every
 AND/OR/popcount in the bucket loop stays a single C-level call.
 
-State handling (the ``I``/``J`` offsets, ``reset``, trace recording) is
-inherited from the reference class, so the two implementations cannot
-drift apart structurally; bit-identical behaviour — schedules, decision
-traces, round-robin state — is enforced by ``tests/fastpath/``.
+State handling (the ``I``/``J`` offsets, ``reset``, trace recording,
+the decision tally) is inherited from the reference class, so the two
+implementations cannot drift apart structurally; bit-identical
+behaviour — schedules, decision traces, round-robin state — is
+enforced by ``tests/fastpath/``.
 """
 
 from __future__ import annotations
@@ -104,6 +108,9 @@ class FastLCFCentralVariant(BitmaskKernelMixin, LCFCentralVariant):
         trace = [] if self.record_trace else None
         if trace is not None:
             self.last_trace = trace
+        tally = self.decision_tally
+        if tally is not None:
+            choices, depths, overrides = tally.choices, tally.depths, 0
         col_free, free_in = self._pre_grants(rows, schedule, full, full)
 
         # NRQ after any pre-grants: remaining choices per free input.
@@ -163,6 +170,13 @@ class FastLCFCentralVariant(BitmaskKernelMixin, LCFCentralVariant):
                     )
                 )
             if grant != NO_GRANT:
+                if tally is not None:
+                    # rr_row wins by the RR test exactly when covered.
+                    choices[nrq[grant]] += 1
+                    depths[(grant - rr_row) % n] += 1
+                    overrides += grant == rr_row and (
+                        diagonal or (single and res == 0)
+                    )
                 schedule[grant] = col
                 col_free &= ~col_bit
                 # Figure 2: every remaining requester of the taken
@@ -175,6 +189,8 @@ class FastLCFCentralVariant(BitmaskKernelMixin, LCFCentralVariant):
                 free_in &= ~(1 << grant)
                 nrq[grant] = 0
 
+        if tally is not None:
+            tally.overrides += overrides
         self._advance()
         return schedule
 
@@ -188,6 +204,9 @@ class FastLCFCentralVariant(BitmaskKernelMixin, LCFCentralVariant):
         i0, j0 = self._i, self._j
         full = (1 << n) - 1
         schedule = [NO_GRANT] * n
+        tally = self.decision_tally
+        if tally is not None:
+            choices, depths, overrides = tally.choices, tally.depths, 0
         col_free, free_in = self._pre_grants(rows, schedule, full, full)
 
         # NRQ buckets after any pre-grants: ``buckets[v]`` is the mask
@@ -248,6 +267,13 @@ class FastLCFCentralVariant(BitmaskKernelMixin, LCFCentralVariant):
                             break
 
             if grant != NO_GRANT:
+                if tally is not None:
+                    # As in the scan: rr_row wins exactly when covered.
+                    choices[grant_value] += 1
+                    depths[(grant - rr_row) % n] += 1
+                    overrides += grant == rr_row and (
+                        diagonal or (single and res == 0)
+                    )
                 grant_bit = 1 << grant
                 schedule[grant] = col
                 col_free &= ~col_bit
@@ -287,6 +313,8 @@ class FastLCFCentralVariant(BitmaskKernelMixin, LCFCentralVariant):
                         new_values.append(value)
                 values = new_values
 
+        if tally is not None:
+            tally.overrides += overrides
         self._advance()
         return schedule
 

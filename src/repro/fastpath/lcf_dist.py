@@ -14,10 +14,11 @@ same mask algebra as the central kernel:
   with the same early exit at the key floor of 1.
 
 State handling (per-port grant/accept pointers, the RR overlay walk,
-``reset``, trace recording) is inherited from the reference classes, so
-the implementations cannot drift apart structurally; bit-identical
-behaviour — schedules, :class:`IterationTrace` streams, pointer
-evolution — is enforced by ``tests/fastpath/``.
+``reset``, trace recording, the decision tally) is inherited from the
+reference classes, so the implementations cannot drift apart
+structurally; bit-identical behaviour — schedules,
+:class:`IterationTrace` streams, pointer evolution — is enforced by
+``tests/fastpath/``.
 
 One kernel serves every width: a mask is one Python int per port, so
 past 64 ports every AND, popcount and rotation is still a single
@@ -99,6 +100,13 @@ class FastLCFDistributed(BitmaskKernelMixin, LCFDistributed):
             self._cycle += 1
             self._iteration = 0
         in_free, out_free = self._pre_masks(rows, schedule, full, full)
+        tally = self.decision_tally
+        if tally is not None and in_free != full:
+            # The RR overlay pre-matched; counted by the reference's
+            # rule (see LCFDistributed._schedule).
+            tally.overrides += self.injector is None or any(
+                rows[i] & out_free for i in range(n) if in_free >> i & 1
+            )
         for _ in range(self.iterations):
             live, in_free, out_free = self._iterate_masks(
                 rows, cols, schedule, in_free, out_free, full
@@ -128,6 +136,7 @@ class FastLCFDistributed(BitmaskKernelMixin, LCFDistributed):
     ) -> tuple[bool, int, int]:
         n = self.n
         injector = self.injector
+        tally = self.decision_tally
 
         # Request step: live row = requests to still-unmatched targets;
         # nrq is its popcount (matched initiators keep nrq 0, exactly
@@ -234,6 +243,8 @@ class FastLCFDistributed(BitmaskKernelMixin, LCFDistributed):
             accept_ptr[i] = j + 1 if j + 1 < n else 0
             if trace is not None:
                 trace.accepts.append((i, j))
+            if tally is not None:
+                tally.choices[nrq[i]] += 1
         if trace is not None:
             self.last_trace.append(trace)
         return bool(buckets), in_free, out_free

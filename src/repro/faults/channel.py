@@ -38,6 +38,11 @@ __all__ = [
 ]
 
 
+#: Instrumentation a switch sets on its scheduler; a filter sets it on
+#: the scheduler it wraps.
+_FORWARDED = frozenset({"record_trace", "decision_tally"})
+
+
 class RequestLossFilter(Scheduler):
     """Generic degraded mode for schedulers without an explicit
     message protocol (PIM, iSLIP, wavefront, the central LCF family...).
@@ -63,13 +68,14 @@ class RequestLossFilter(Scheduler):
 
     def __getattr__(self, attribute):
         # Transparent for instrumentation: record_trace, last_trace,
-        # rr_position, weight_kind... resolve on the wrapped scheduler.
+        # decision_tally, rr_position, weight_kind... resolve on the
+        # wrapped scheduler.
         if attribute == "scheduler":
             raise AttributeError(attribute)
         return getattr(self.scheduler, attribute)
 
     def __setattr__(self, attribute, value):
-        if attribute == "record_trace" and "scheduler" in self.__dict__:
+        if attribute in _FORWARDED and "scheduler" in self.__dict__:
             setattr(self.scheduler, attribute, value)
             return
         super().__setattr__(attribute, value)

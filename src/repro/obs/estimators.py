@@ -30,6 +30,7 @@ as collector-refreshed gauges (see ``docs/OBSERVABILITY.md``).
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import itertools
 import math
@@ -68,10 +69,11 @@ class RateEstimator:
 
     Per-pair state lives in flat Python lists (index ``input * n +
     output``) and decay factors for short gaps come from a per-alpha
-    table: ``observe`` runs once per forwarded packet, and a list read
-    costs a fraction of numpy scalar indexing and ``pow``. The table is
-    computed with numpy's own power, so every value is bit-identical to
-    evaluating ``(1 - alpha) ** gap`` in numpy.
+    table: every forwarded packet is one update, and a list read costs
+    a fraction of numpy scalar indexing and ``pow``. A switch hands a
+    block of slots' matchings to :meth:`observe_matchings` in one call.
+    The table is computed with numpy's own power, so every value is
+    bit-identical to evaluating ``(1 - alpha) ** gap`` in numpy.
     """
 
     def __init__(self, n: int, alpha: float = 0.02):
@@ -104,6 +106,34 @@ class RateEstimator:
         self._value[pair] = self._value[pair] * decay + self.alpha
         self._slot[pair] = slot
         self.events += 1
+
+    def observe_matchings(
+        self, slots: Iterable[int], matchings: Iterable[list[int]]
+    ) -> None:
+        """Record one event for every matched pair of each slot's
+        matching: ``matchings[k][i]`` is the output input ``i`` was
+        matched to at ``slots[k]`` (negative: none). Slots are
+        non-decreasing. Pairs are taken in slot order, then input order
+        — the order one :meth:`observe` call per pair would take — so
+        every value is bit-identical to those calls'."""
+        n, alpha = self.n, self.alpha
+        value, last = self._value, self._slot
+        table = _decay_table(alpha)
+        row_starts = range(0, n * n, n)  # each input's first pair index
+        events = 0
+        for slot, matching in zip(slots, matchings):
+            for pair, output in zip(row_starts, matching):
+                if output < 0:
+                    continue
+                pair += output
+                try:
+                    decay = table[slot - last[pair]]
+                except IndexError:  # a gap past the table
+                    decay = self._decay(slot - last[pair])
+                value[pair] = value[pair] * decay + alpha
+                last[pair] = slot
+                events += 1
+        self.events += events
 
     def rate(self, input: int, output: int, at_slot: int) -> float:
         """The pair's estimated events/slot as of ``at_slot``."""
@@ -189,6 +219,21 @@ class DelayHistogram:
             raise ValueError(f"delays are non-negative, got {value}")
         counts.extend([0] * (value + 1 - len(counts)))
         counts[value] += 1
+
+    def add_many(self, values: Iterable[int]) -> None:
+        """Add every sample in ``values``: the counts one :meth:`add`
+        per sample would leave, in one call."""
+        seen = collections.Counter(values)
+        if not seen:
+            return
+        if min(seen) < 0:
+            raise ValueError(f"delays are non-negative, got {min(seen)}")
+        counts = self.counts
+        top = max(seen)
+        if top >= len(counts):
+            counts.extend([0] * (top + 1 - len(counts)))
+        for value, times in seen.items():
+            counts[value] += times
 
     def merge(self, other: "DelayHistogram") -> None:
         """Add another histogram's samples to this one."""

@@ -10,8 +10,8 @@ scheduler found a maximum matching every single slot.
 
 The probe is transparent: the inner scheduler computes exactly the
 schedule it would have computed unwrapped, and decision-trace recording
-(``record_trace`` / ``last_trace``) passes through so switch-level
-telemetry keeps working.
+(``record_trace`` / ``last_trace``) and the ``decision_tally`` pass
+through so switch-level telemetry keeps working.
 
 Hopcroft–Karp results are memoised per unique request matrix (keyed on
 the :func:`repro.fastpath.pack_rows` bitmask tuple): a steady-state
@@ -98,7 +98,8 @@ class MatchingQualityProbe(Scheduler):
         self.cache_misses = 0
         self._hk_cache.clear()
 
-    # Decision-trace recording passes through to the wrapped scheduler.
+    # Decision-trace recording and the decision tally pass through to
+    # the wrapped scheduler.
 
     @property
     def record_trace(self) -> bool:
@@ -112,6 +113,15 @@ class MatchingQualityProbe(Scheduler):
     @property
     def last_trace(self) -> list:
         return getattr(self.inner, "last_trace", [])
+
+    @property
+    def decision_tally(self):
+        return getattr(self.inner, "decision_tally", None)
+
+    @decision_tally.setter
+    def decision_tally(self, value) -> None:
+        if hasattr(self.inner, "decision_tally"):
+            self.inner.decision_tally = value
 
     @property
     def rr_position(self) -> tuple[int, int] | None:

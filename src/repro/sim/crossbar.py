@@ -35,9 +35,14 @@ stage order above. Metrics are tallied in local ints and count lists
 and added to the registry when :meth:`~InputQueuedSwitch.run_slots`
 returns — once per block of slots (``_SLOT_BLOCK`` = 64), so a
 scrape taken mid-block lags the simulation by at most that many slots.
-The choice-count and tie-break-depth histograms come from the decision
-records the kernels keep when ``record_trace`` is set. The live
-``delay_p*`` gauges are exact percentiles of every forwarded delay
+The choice-count, tie-break-depth and RR-override counts come from the
+:class:`~repro.core.base.DecisionTally` the switch attaches to an LCF
+scheduler, which its kernels add to where they grant; the per-step
+decision records (``record_trace``) are kept only for a tracer. The
+block's delays and matchings reach the latency histogram and the live
+estimators in one call each when the block ends: the ``rate_*`` gauges
+are per-pair EWMAs (:class:`~repro.obs.estimators.RateEstimator`), and
+the ``delay_p*`` gauges exact percentiles of every forwarded delay
 (:class:`~repro.obs.estimators.DelayHistogram`).
 
 Fault stances: with an ``injector`` alone the switch is *informed* —
@@ -55,7 +60,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import Scheduler
+from repro.core.base import DecisionTally, Scheduler
 from repro.core.lcf_central import StepTrace
 from repro.core.lcf_dist import IterationTrace
 from repro.fastpath.bitops import pack_cols, pack_rows, unpack_rows
@@ -115,11 +120,17 @@ class InputQueuedSwitch:
         self.tracer = effective_tracer(tracer)
         self.metrics = metrics
         self._observing = self.tracer is not None or metrics is not None
-        if self._observing and hasattr(scheduler, "record_trace"):
-            # Reuse the schedulers' built-in decision recorders
-            # (StepTrace / IterationTrace) as the telemetry source.
+        if self.tracer is not None and hasattr(scheduler, "record_trace"):
+            # The decision events come from the schedulers' built-in
+            # recorders (StepTrace / IterationTrace).
             scheduler.record_trace = True
+        #: The LCF kernels' decision counts behind the choice-count,
+        #: tie-break-depth and RR-override metrics: wiring (never
+        #: checkpointed), drained once per block.
+        self.decision_tally = None
         if metrics is not None:
+            if hasattr(scheduler, "decision_tally"):
+                self.decision_tally = scheduler.decision_tally = DecisionTally(n)
             self._m_matching = metrics.histogram("matching_size", range(n + 1))
             self._m_choices = metrics.histogram("choice_count", range(n + 1))
             self._m_tie_depth = metrics.histogram("tie_break_depth", range(n))
@@ -129,10 +140,10 @@ class InputQueuedSwitch:
             self._m_forwarded = metrics.counter("forwarded")
             self._m_dropped = metrics.counter("dropped")
             self._m_arrivals = metrics.counter("arrivals")
-            # Live estimators: cheap O(1) updates per forward;
-            # everything derived from them (rate gauges, delay
-            # percentiles, queue depths) is refreshed lazily by the
-            # collector below, so only scrapes/snapshots pay for it.
+            # Live estimators, fed once per block; everything derived
+            # from them (rate gauges, delay percentiles, queue depths)
+            # is refreshed lazily by the collector below, so only
+            # scrapes/snapshots pay for it.
             self.rate_estimator = RateEstimator(n)
             self.delay_histogram = DelayHistogram()
             self._live_slot = 0
@@ -140,7 +151,8 @@ class InputQueuedSwitch:
         else:
             self.rate_estimator = None
             self.delay_histogram = None
-        #: (i, j) when the distributed RR overlay will pre-match this slot.
+        #: (i, j) when the distributed RR overlay will pre-match this
+        #: slot (kept for the tracer's ``rr_override`` event).
         self._pending_rr: tuple[int, int] | None = None
 
         # A plan with no topology faults resolves to no injector here —
@@ -278,7 +290,10 @@ class InputQueuedSwitch:
         the pass); the adapter; the output gate; the forward sink; the
         tracer (a slot's ``enqueue`` events follow its arrival events,
         as separate stages would emit them); and metrics, tallied
-        locally and added to the registry when the block ends. A hook
+        locally and added to the registry when the block ends. The
+        block's delays are kept in one list that feeds the latency and
+        live delay histograms, and its matchings feed the rate
+        estimator, once per block. A hook
         that thins requests makes the scheduler see masked copies of
         the masks. A scheduler whose class defines ``schedule_masks``
         runs on the masks; the others get the unpacked request matrix
@@ -306,7 +321,6 @@ class InputQueuedSwitch:
             getattr(type(scheduler), "schedule_masks", None)
         ):
             kernel = scheduler.schedule_masks
-        latency_add = self.latency.add
         service = self.service if measuring else None
         injector, admission = self.injector, self.admission
         adapter, gate, sink = self.adapter, self.output_gate, self.forward_sink
@@ -318,19 +332,16 @@ class InputQueuedSwitch:
             enqueues: list[dict] = []
         metered = self.metrics is not None
         if metered:
-            rate_observe = self.rate_estimator.observe
-            delay_add = self.delay_histogram.add
             matching = [0] * (n + 1)
-            choices = [0] * (n + 1)
-            depths = [0] * n
-            overrides = 0
+            matched_slots: list[int] = []
+            matchings: list[list[int]] = []
             live_slot = self._live_slot
-        observing = traced or metered
         # The distributed RR overlay pre-matches its position before the
         # kernel's iterations run, so its record never shows that grant.
-        track_rr = observing and getattr(scheduler, "rr_position", None) is not None
+        track_rr = traced and getattr(scheduler, "rr_position", None) is not None
         queued = self.total_queued() if admission is not None else 0
-        arrived = dropped = shed = forwarded = 0
+        arrived = dropped = shed = 0
+        delays: list[int] = []  # every forward's, in order
         down = mask = None
         grants: list[int] = []
 
@@ -351,7 +362,7 @@ class InputQueuedSwitch:
             if admission is not None:
                 # One decision per slot, on the occupancy the slot starts
                 # with; a shed arrival never reaches a PQ.
-                admission.update(queued + arrived - dropped - shed - forwarded)
+                admission.update(queued + arrived - dropped - shed - len(delays))
                 if admission.shedding:
                     for i, dst in enumerate(dsts):
                         if dst != NO_ARRIVAL:
@@ -479,12 +490,10 @@ class InputQueuedSwitch:
                 adapter.observe(slot, proposed, np.array(grants, dtype=np.int64))
             if traced:
                 self._trace_decisions(slot, grants, sum(nrq))
-            if metered:
-                overrides += self._fold_decisions(choices, depths)
 
             # 4. Forwarding. A granted VOQ is non-empty, so its bits are
             #    set and emptying it toggles them off.
-            slot_start = forwarded
+            slot_start = len(delays)
             for i, j in enumerate(grants):
                 if j == NO_GRANT:
                     continue
@@ -497,32 +506,31 @@ class InputQueuedSwitch:
                     delay = slot - t_generated + 1
                 else:
                     delay = sink(slot, i, j, t_generated)
-                forwarded += 1
-                if measuring:
-                    latency_add(delay)
-                if observing:
-                    if metered:
-                        rate_observe(i, j, slot)
-                        delay_add(delay)
-                    if traced:
-                        emit(ev.forward(slot, i, j, delay))
+                delays.append(delay)
+                if traced:
+                    emit(ev.forward(slot, i, j, delay))
             if metered:
-                size = forwarded - slot_start
+                size = len(delays) - slot_start
                 matching[size] += 1
                 if size:
                     live_slot = slot
+                    matched_slots.append(slot)
+                    matchings.append(grants)
             if service is not None:
                 service.record(grants)
             slot += 1
 
         if measuring:
             self.offered += arrived
-            self.forwarded += forwarded
+            self.forwarded += len(delays)
+            self.latency.add_many(delays)
         if metered:
-            self._flush_decisions(matching, choices, depths, overrides)
+            self.delay_histogram.add_many(delays)
+            self.rate_estimator.observe_matchings(matched_slots, matchings)
+            self._flush_decisions(matching)
             self._m_arrivals.inc(arrived - shed)
             self._m_dropped.inc(dropped)
-            self._m_forwarded.inc(forwarded)
+            self._m_forwarded.inc(len(delays))
             self._live_slot = live_slot
         return grants
 
@@ -549,35 +557,48 @@ class InputQueuedSwitch:
         side recovers once its backlog has drained to the level it had
         when the fault hit — ``backlog_slots`` on the recovery event
         (and the ``recovery_time`` histogram) is how long that took.
+
+        A slot where no port changes state walks no port, and one where
+        no input is recovering either returns after three comparisons.
         """
+        recovering = self._recovering_since
+        prev_in, prev_out = self._down_in_prev, self._down_out_prev
+        changed = (
+            down_in.tobytes() != prev_in.tobytes()
+            or down_out.tobytes() != prev_out.tobytes()
+        )
+        if not changed and recovering.max() < 0:
+            return
         tracer, metrics = self.tracer, self.metrics
-        for port in range(self.n):
-            for side, now, prev in (
-                ("input", down_in, self._down_in_prev),
-                ("output", down_out, self._down_out_prev),
-            ):
-                if now[port] and not prev[port]:
-                    self.fault_events += 1
-                    if metrics is not None:
-                        self._m_faults.inc()
-                    if tracer is not None:
-                        tracer.emit(ev.fault(slot, port, side))
-                    if side == "input":
-                        self._backlog_at_fault[port] = self._input_backlog(port)
-                        self._recovering_since[port] = -1
-                elif prev[port] and not now[port]:
-                    if side == "output":
-                        self.recovery_events += 1
+        if changed:
+            ports = np.flatnonzero((down_in != prev_in) | (down_out != prev_out))
+            for port in ports.tolist():
+                for side, now, prev in (
+                    ("input", down_in, prev_in),
+                    ("output", down_out, prev_out),
+                ):
+                    if now[port] and not prev[port]:
+                        self.fault_events += 1
                         if metrics is not None:
-                            self._m_recoveries.inc()
-                            self._m_recovery_time.observe(0)
+                            self._m_faults.inc()
                         if tracer is not None:
-                            tracer.emit(ev.recovery(slot, port, side, 0))
-                    else:
-                        self._recovering_since[port] = slot
-        self._down_in_prev = down_in.copy()
-        self._down_out_prev = down_out.copy()
-        for port in np.flatnonzero(self._recovering_since >= 0):
+                            tracer.emit(ev.fault(slot, port, side))
+                        if side == "input":
+                            self._backlog_at_fault[port] = self._input_backlog(port)
+                            self._recovering_since[port] = -1
+                    elif prev[port] and not now[port]:
+                        if side == "output":
+                            self.recovery_events += 1
+                            if metrics is not None:
+                                self._m_recoveries.inc()
+                                self._m_recovery_time.observe(0)
+                            if tracer is not None:
+                                tracer.emit(ev.recovery(slot, port, side, 0))
+                        else:
+                            self._recovering_since[port] = slot
+            self._down_in_prev = down_in.copy()
+            self._down_out_prev = down_out.copy()
+        for port in np.flatnonzero(recovering >= 0):
             if self._input_backlog(port) <= self._backlog_at_fault[port]:
                 backlog_slots = slot - int(self._recovering_since[port])
                 self._recovering_since[port] = -1
@@ -632,45 +653,14 @@ class InputQueuedSwitch:
         matching_size = self.n - grants.count(NO_GRANT)
         tracer.emit(ev.slot_summary(slot, matching_size, request_total, voq))
 
-    def _fold_decisions(self, choices: list[int], depths: list[int]) -> int:
-        """Count the last slot's decisions into per-value tallies.
-
-        Reads the scheduler's decision recorder: each granted central
-        LCF step adds the winner's remaining choices to ``choices`` and
-        its tie-break chain depth to ``depths``; each distributed accept
-        adds the accepting input's request count to ``choices``. Returns
-        the slot's RR overrides (central steps the RR row won, or the
-        distributed overlay's pre-match noted in ``_pending_rr``).
-        """
-        trace = getattr(self.scheduler, "last_trace", None)
-        if not trace:
-            return 0
-        if isinstance(trace[0], StepTrace):
-            n = self.n
-            overrides = 0
-            for step in trace:
-                granted = step.granted
-                if granted != NO_GRANT:
-                    choices[step.nrq_before[granted]] += 1
-                    depths[(granted - step.rr_row) % n] += 1
-                    overrides += step.rr_won
-            return overrides
-        if isinstance(trace[0], IterationTrace):
-            for it in trace:
-                for i, _ in it.accepts:
-                    choices[it.nrq[i]] += 1
-            return int(self._pending_rr is not None)
-        return 0
-
-    def _flush_decisions(
-        self,
-        matching: list[int],
-        choices: list[int],
-        depths: list[int],
-        overrides: int,
-    ) -> None:
-        """Add per-value tallies (index = observed value) and the slot
-        and grant counts they imply to the registry."""
+    def _flush_decisions(self, matching: list[int]) -> None:
+        """Add the block's per-value counts (index = observed value) to
+        the registry: the matching sizes with the slot and grant counts
+        they imply, and the decision tally, drained."""
+        tally = self.decision_tally
+        choices, depths, overrides = (
+            tally.drain() if tally is not None else ((), (), 0)
+        )
         for histogram, counts in (
             (self._m_matching, matching),
             (self._m_choices, choices),

@@ -65,7 +65,8 @@ class FIFOSwitch:
         and FIFO ``i``, so fusing them changes no result. An arrival at
         an empty PQ whose FIFO has room goes straight into the FIFO,
         which is what push-then-inject would do. The loop works on the
-        queues' deques directly.
+        queues' deques directly, and the block's delays reach the
+        latency histogram in one call.
 
         ``measuring`` must not change mid-block —
         :func:`repro.sim.simulator._drive` splits its blocks at the
@@ -78,8 +79,8 @@ class FIFOSwitch:
         fifos = self.fifos
         fifo_capacity = self.fifo_capacity
         arbitrate = self.scheduler.arbitrate
-        latency_add = self.latency.add
-        arrived = forwarded = 0
+        arrived = 0
+        delays: list[int] = []  # every departure's, in order
         grants: list[int] = []
 
         slot = first_slot
@@ -116,12 +117,11 @@ class FIFOSwitch:
                 if j == NO_GRANT:
                     continue
                 _, t_generated = fifos[i].popleft()
-                forwarded += 1
-                if measuring:
-                    latency_add(slot - t_generated + 1)
+                delays.append(slot - t_generated + 1)
             slot += 1
 
         if measuring:
             self.offered += arrived
-            self.forwarded += forwarded
+            self.forwarded += len(delays)
+            self.latency.add_many(delays)
         return grants

@@ -55,7 +55,8 @@ class OutputBufferedSwitch:
         Per slot: fabric delivery — every arrival lands in its output
         buffer at once (no input-side contention; a full buffer drops
         it) — then transmission of one packet per output link. The loop
-        works on the output queues' deques directly.
+        works on the output queues' deques directly, and the block's
+        delays reach the latency histogram in one call.
 
         ``measuring`` must not change mid-block —
         :func:`repro.sim.simulator._drive` splits its blocks at the
@@ -66,8 +67,8 @@ class OutputBufferedSwitch:
         queues = self.queues
         out_queues = [queue._queue for queue in queues]
         capacity = self.config.outbuf_capacity
-        latency_add = self.latency.add
-        arrived = forwarded = 0
+        arrived = 0
+        delays: list[int] = []  # every transmission's, in order
         served: list[int] = []
 
         slot = first_slot
@@ -87,12 +88,11 @@ class OutputBufferedSwitch:
             for j, queue in enumerate(out_queues):
                 if queue:
                     t_generated = served[j] = queue.popleft()
-                    forwarded += 1
-                    if measuring:
-                        latency_add(slot - t_generated + 1)
+                    delays.append(slot - t_generated + 1)
             slot += 1
 
         if measuring:
             self.offered += arrived
-            self.forwarded += forwarded
+            self.forwarded += len(delays)
+            self.latency.add_many(delays)
         return served

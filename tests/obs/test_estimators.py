@@ -128,6 +128,32 @@ class TestRateEstimator:
         with pytest.raises(ValueError):
             RateEstimator(2, alpha=1.5)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.lists(
+            st.tuples(st.integers(0, 1500), st.lists(st.integers(-1, 5), max_size=6)),
+            max_size=40,
+        ),
+    )
+    def test_observe_matchings_equals_observe_calls(self, n, raw):
+        """A block handed over at once leaves every value bit-identical
+        to one ``observe`` per matched pair, taken in slot then input
+        order (gaps past the decay table included)."""
+        slots, matchings = [], []
+        for slot, matching in sorted(raw, key=lambda item: item[0]):
+            slots.append(slot)
+            matchings.append([out % n if out >= 0 else -1 for out in matching[:n]])
+        one, block = RateEstimator(n), RateEstimator(n)
+        for slot, matching in zip(slots, matchings):
+            for i, out in enumerate(matching):
+                if out >= 0:
+                    one.observe(i, out, slot)
+        block.observe_matchings(slots, matchings)
+        assert block._value == one._value
+        assert block._slot == one._slot
+        assert block.events == one.events
+
 
 # ---------------------------------------------------------------------------
 # DelayHistogram
@@ -179,6 +205,23 @@ class TestDelayHistogram:
         a.merge(b)
         assert a.counts == both.counts
         assert a.percentiles() == both.percentiles()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 300), max_size=50), delay_lists)
+    def test_add_many_equals_one_add_per_sample(self, first, second):
+        one, block = DelayHistogram(), DelayHistogram()
+        for delay in first + second:
+            one.add(delay)
+        block.add_many(first)
+        block.add_many(second)
+        assert block.counts == one.counts
+
+    def test_add_many_rejects_a_negative_sample_whole(self):
+        histogram = DelayHistogram([0, 2])
+        with pytest.raises(ValueError):
+            histogram.add_many([1, 5, -1])
+        histogram.add_many([])
+        assert histogram.counts == [0, 2]
 
     def test_summary(self):
         histogram = DelayHistogram()
