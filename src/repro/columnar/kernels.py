@@ -25,14 +25,17 @@ interpreter once per (replicate, output) grant step. Here each grant
 step is a handful of numpy calls over ``(R, n)`` arrays, so the
 interpreter cost is amortised across all R replicates — the sweep
 engine's process parallelism then multiplies this per-worker
-vectorisation instead of replacing it.
+vectorisation instead of replacing it. At small R those calls are the
+cost, so the batched LCF kernel moves everything a step can know in
+advance (its column's requests, key base and NRQ decrement) into a few
+whole-tensor operations once per cycle, into buffers it reuses.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import IterativeScheduler, _INT64_MAX
+from repro.core.base import IterativeScheduler
 from repro.core.lcf_central import RRCoverage
 from repro.types import NO_GRANT
 
@@ -48,6 +51,10 @@ _CHAIN_CACHE: dict[int, np.ndarray] = {}
 # drops below _MATCHED - n^2 >> _MATCHED_THRESHOLD for any sane n.
 _MATCHED = np.int64(1) << 40
 _MATCHED_THRESHOLD = np.int64(1) << 39
+# Added to the key base of an input that does not request a step's
+# column: it keeps the key above _MATCHED_THRESHOLD whatever the nrq key
+# (real, or poisoned up to _MATCHED), and far from int64 overflow.
+_NO_REQUEST = _MATCHED
 
 
 def chain_table(n: int) -> np.ndarray:
@@ -100,13 +107,16 @@ class ColumnarLCFCentral(ColumnarKernel):
 
     Per output step the serial ``rotating_argmin`` composite key
     ``nrq * n + chain_pos`` is unique among candidates, so a plain
-    ``argmin`` over ``np.where(candidates, key, INT64_MAX)`` reproduces
-    the serial grant exactly, replicate by replicate. Granted inputs are
-    excluded from later steps by poisoning their ``nrq`` key to
-    :data:`_MATCHED` (far above any real composite key, far below the
-    no-request sentinel) rather than by clearing request rows — the
-    input tensor stays pristine and the hot loop saves a mask AND plus
-    a scatter per step.
+    ``argmin`` over it reproduces the serial grant exactly, replicate
+    by replicate. Once per cycle the request tensor is gathered in step
+    order, and each step's key base (the chain ordinal, plus
+    :data:`_NO_REQUEST` where the input does not request the column)
+    and NRQ decrement are precomputed into buffers reused across
+    cycles; a step is then one add, an argmin and a gather, then the
+    updates. Granted inputs are excluded from later steps by poisoning
+    their ``nrq`` key to :data:`_MATCHED` (far above any real composite
+    key) rather than by clearing request rows — the input tensor stays
+    pristine.
     """
 
     def __init__(self, n: int, replicates: int, coverage: RRCoverage):
@@ -119,7 +129,14 @@ class ColumnarLCFCentral(ColumnarKernel):
         self.name = "lcf_central" if coverage is RRCoverage.NONE else "lcf_central_rr"
         self._i = 0
         self._j = 0
-        self._rows = np.arange(replicates)
+        # Flat offset of each replicate's row in an (R, n) buffer.
+        self._offsets = np.arange(replicates) * n
+        # Per-cycle step tensors, indexed [step, replicate, input].
+        self._req = np.empty((n, replicates, n), dtype=bool)
+        self._base = np.empty((n, replicates, n), dtype=np.int64)
+        self._dec = np.empty((n, replicates, n), dtype=np.int64)
+        self._nrq_key = np.empty((replicates, n), dtype=np.int64)
+        self._key = np.empty((replicates, n), dtype=np.int64)
 
     @property
     def rr_offsets(self) -> tuple[int, int]:
@@ -132,45 +149,48 @@ class ColumnarLCFCentral(ColumnarKernel):
 
     def schedule_batch(self, requests_t: np.ndarray) -> np.ndarray:
         n = self.n
-        reps = self.replicates
-        chain = chain_table(n)
-        rows = self._rows
+        offsets = self._offsets
         diagonal = self.coverage is RRCoverage.DIAGONAL
-        schedule = np.full((reps, n), NO_GRANT, dtype=np.int64)
-        # nrq scaled by n so adding the chain ordinal yields the serial
-        # composite key directly (nrq <= n, so no overflow ambiguity).
-        # Real composite keys are < _MATCHED_THRESHOLD; a granted input
-        # is poisoned to _MATCHED, which stays above the threshold under
-        # the <= n^3 total decrement the loop below can apply but below
-        # the INT64_MAX no-request sentinel — so matched inputs lose to
-        # every real candidate and a matched-only column grants nothing.
-        nrq_key = requests_t.sum(axis=1, dtype=np.int64) * n
-        scale = np.int64(n)
+        schedule = np.full((self.replicates, n), NO_GRANT, dtype=np.int64)
+        steps = np.arange(n)
+        step_cols = (self._j + steps) % n
+        rr_rows = (self._i + steps) % n
 
-        i0, j0 = self._i, self._j
-        for res in range(n):
-            col = (j0 + res) % n
-            rr_row = (i0 + res) % n
-            colreq = requests_t[:, col, :]
-            key = np.where(colreq, nrq_key + chain[rr_row], _INT64_MAX)
-            winner = np.argmin(key, axis=1)
+        # Step s schedules output step_cols[s], whose chain starts at
+        # rr_rows[s]. Its key base is that chain's ordinal where an
+        # input requests the column and the ordinal plus _NO_REQUEST
+        # elsewhere; its decrement is the column's requests scaled by
+        # n. The nrq key is nrq scaled by n, so base + nrq key is the
+        # serial composite key.
+        req, base, dec = self._req, self._base, self._dec
+        np.take(requests_t.transpose(1, 0, 2), step_cols, axis=0, out=req)
+        np.multiply(req, n, out=dec)
+        np.multiply(req, -_NO_REQUEST, out=base)
+        base += (chain_table(n)[rr_rows] + _NO_REQUEST)[:, np.newaxis, :]
+        nrq_key = self._nrq_key
+        np.sum(dec, axis=0, out=nrq_key)
+        key = self._key
+
+        for s in range(n):
+            np.add(base[s], nrq_key, out=key)
+            winner = key.argmin(axis=1)
             # A replicate has a grant iff its argmin hit an unmatched
-            # requester (the serial code clears granted rows, emptying
-            # the candidate set instead).
-            has = key[rows, winner] < _MATCHED_THRESHOLD
+            # requester: a matched one is poisoned, and a column nobody
+            # unmatched requests keeps every key above the threshold.
+            granted = (key.take(winner + offsets) < _MATCHED_THRESHOLD).nonzero()[0]
             if diagonal:
                 # Figure 2: the diagonal position pre-empts LCF (when
                 # the diagonal input requests the column and is not yet
                 # matched).
-                winner = np.where(key[:, rr_row] < _MATCHED_THRESHOLD, rr_row, winner)
+                rr_row = rr_rows[s]
+                winner[key[:, rr_row] < _MATCHED_THRESHOLD] = rr_row
             # Figure 2: nrq[req] := nrq[req] - 1 for this column's
             # requesters. Matched requesters are decremented too, which
             # is harmless: their key stays far above the threshold.
-            nrq_key -= colreq * scale
-            granted = np.nonzero(has)[0]
+            nrq_key -= dec[s]
             if granted.size:
                 g = winner[granted]
-                schedule[granted, g] = col
+                schedule[granted, g] = step_cols[s]
                 nrq_key[granted, g] = _MATCHED
 
         # Figure 2, last line: I := (I+1) mod n; if I = 0, J := (J+1).

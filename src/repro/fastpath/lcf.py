@@ -6,33 +6,30 @@ pseudocode on Python-int bitmasks:
 
 * ``col_free`` / ``free_in`` are bitmasks of the outputs still
   schedulable and the inputs not yet granted this cycle;
-* NRQ — the per-input number of *remaining* choices — starts as the
-  popcount of ``row & col_free`` and is decremented for every requester
-  of a taken column, exactly the ``nrq[req] := nrq[req] - 1`` step;
+* NRQ — an input's number of *remaining* choices, its degree in the
+  residual request graph — is read off the masks as
+  ``(rows[i] & col_free).bit_count()`` where it is needed. That is the
+  count Figure 2's ``nrq[req] := nrq[req] - 1`` keeps, so the kernel
+  keeps no NRQ list and runs no decrement loop;
 * the rotating tie-break chain is a bit rotation: candidates are
   scanned in chain order starting at the round-robin row, so the first
   strict NRQ minimum seen *is* the rotating-argmin winner.
 
-The untraced hot path picks its strategy by switch size. Up to 32
-ports the straightforward per-bit scan wins: candidate masks are a
-handful of bits and the ``NRQ == 1`` early exit fires constantly. For
-larger switches the kernel keeps the free inputs *bucketed by NRQ
-value* (one bitmask per value): a column's winner is the first bucket,
-in ascending value order, that intersects its candidate mask — one AND
-per bucket probed instead of one NRQ lookup per candidate bit — and
-the Figure 2 losers-decrement becomes a bulk move of each bucket's
-intersection with the taken column's requesters into the next-lower
-bucket: one AND/OR per value instead of one decrement per requester.
-Decision-trace mode needs per-step NRQ snapshots, so it runs the
-per-bit scan at every width, which records one :class:`StepTrace` per
-output step when ``record_trace`` is set. A
+Up to 32 ports the untraced kernel runs that per-bit scan. Above, it
+keeps the free inputs *bucketed by NRQ value*: a column's winner is
+the first bucket, in ascending value order, that intersects its
+candidate mask, and the Figure 2 decrement is a bulk move of each
+bucket's share of the taken column's requesters into the next-lower
+bucket. On the masks simulations schedule (a few requests per row) the
+scan wins at every width; the walk stays because it wins on dense
+masks from 64 ports up, which the kernel-speed gate times. A traced
+call runs the scan at every width, recording one :class:`StepTrace`
+(with its NRQ snapshot) per output step. A
 :class:`~repro.core.base.DecisionTally` needs only each grant's NRQ,
-chain depth and RR flag, which both bodies know where they grant, so a
-metered switch keeps its width's body.
+chain depth and RR flag, which both bodies know where they grant.
 
-``n > 64`` switches run this same bucketed kernel on wider masks: a
-128-port row is a five-digit Python int (30-bit digits), so every
-AND/OR/popcount in the bucket loop stays a single C-level call.
+Past 64 ports a row is just a wider int, so every AND/OR/popcount
+stays a single C-level call.
 
 State handling (the ``I``/``J`` offsets, ``reset``, trace recording,
 the decision tally) is inherited from the reference class, so the two
@@ -50,8 +47,8 @@ from repro.fastpath.bitops import derive_cols
 from repro.fastpath.kernel import BitmaskKernelMixin
 from repro.types import NO_GRANT
 
-#: Largest port count scheduled by the per-bit scan; above this the
-#: NRQ-bucket strategy wins (crossover measured between 32 and 64).
+#: Largest port count of the untraced per-bit scan; above it the
+#: bucket walk runs, which wins on dense masks (see the module doc).
 _SCAN_MAX_PORTS = 32
 
 
@@ -113,12 +110,6 @@ class FastLCFCentralVariant(BitmaskKernelMixin, LCFCentralVariant):
             choices, depths, overrides = tally.choices, tally.depths, 0
         col_free, free_in = self._pre_grants(rows, schedule, full, full)
 
-        # NRQ after any pre-grants: remaining choices per free input.
-        nrq = [
-            (rows[i] & col_free).bit_count() if free_in >> i & 1 else 0
-            for i in range(n)
-        ]
-
         diagonal = self.coverage is RRCoverage.DIAGONAL
         single = self.coverage is RRCoverage.SINGLE
         for res in range(n):
@@ -139,6 +130,9 @@ class FastLCFCentralVariant(BitmaskKernelMixin, LCFCentralVariant):
                 and rows[rr_row] & col_bit
             ):
                 grant = rr_row
+                if tally is not None:
+                    # Its NRQ, while col_free still holds the column.
+                    best_nrq = (rows[grant] & col_free).bit_count()
             else:
                 cand = cols[col] & free_in
                 if cand:
@@ -152,7 +146,7 @@ class FastLCFCentralVariant(BitmaskKernelMixin, LCFCentralVariant):
                         i = rr_row + low.bit_length() - 1
                         if i >= n:
                             i -= n
-                        count = nrq[i]
+                        count = (rows[i] & col_free).bit_count()
                         if count < best_nrq:
                             best_nrq = count
                             grant = i
@@ -164,6 +158,10 @@ class FastLCFCentralVariant(BitmaskKernelMixin, LCFCentralVariant):
                 # The scan reaches rr_row only as a free requester, so
                 # rr_row wins by the RR test exactly when covered.
                 rr_won = grant == rr_row and (diagonal or (single and res == 0))
+                nrq = [
+                    (rows[i] & col_free).bit_count() if free_in >> i & 1 else 0
+                    for i in range(n)
+                ]
                 trace.append(
                     StepTrace(
                         col, rr_row, np.array(nrq, dtype=np.int64), grant, rr_won
@@ -172,22 +170,14 @@ class FastLCFCentralVariant(BitmaskKernelMixin, LCFCentralVariant):
             if grant != NO_GRANT:
                 if tally is not None:
                     # rr_row wins by the RR test exactly when covered.
-                    choices[nrq[grant]] += 1
+                    choices[best_nrq] += 1
                     depths[(grant - rr_row) % n] += 1
                     overrides += grant == rr_row and (
                         diagonal or (single and res == 0)
                     )
                 schedule[grant] = col
-                col_free &= ~col_bit
-                # Figure 2: every remaining requester of the taken
-                # column loses one choice.
-                losers = cols[col] & free_in
-                while losers:
-                    low = losers & -losers
-                    nrq[low.bit_length() - 1] -= 1
-                    losers ^= low
-                free_in &= ~(1 << grant)
-                nrq[grant] = 0
+                col_free ^= col_bit
+                free_in ^= 1 << grant
 
         if tally is not None:
             tally.overrides += overrides

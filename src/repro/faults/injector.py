@@ -15,7 +15,10 @@ seed (a splitmix64-style mix). There is **no mutable RNG stream**:
   sweep cache and trace replay remain valid.
 
 Per-slot topology masks are memoised (the switch asks several times per
-slot) but the memo is only a cache of a pure function.
+slot) but the memo is only a cache of a pure function. While no
+interval, duty cycle or link outage changes state, every query returns
+the same array objects, so a caller can key its own derived state on
+their identity.
 """
 
 from __future__ import annotations
@@ -88,36 +91,43 @@ class FaultInjector:
         self._mask: np.ndarray | None = None
         self._down_in: np.ndarray | None = None
         self._down_out: np.ndarray | None = None
+        self._degraded = False
+        # Every topology fault, and which were active when the arrays
+        # above were built.
+        self._faults = plan.port_down + plan.port_duty + plan.link_down
+        self._active: list[bool] | None = None
 
     # -- topology faults -----------------------------------------------------
 
     def _topology(self, slot: int) -> None:
-        """Memoise down-port vectors and the request mask for one slot."""
+        """Memoise down-port vectors, the request mask and the degraded
+        flag for one slot; they are rebuilt only when some fault's
+        ``active(slot)`` differs from when they were last built."""
         if slot == self._mask_slot:
             return
+        self._mask_slot = slot
+        active = [fault.active(slot) for fault in self._faults]
+        if active == self._active:
+            return
+        self._active = active
         n = self.n
         down_in = np.zeros(n, dtype=bool)
         down_out = np.zeros(n, dtype=bool)
-        for interval in self.plan.port_down:
+        for interval in self.plan.port_down + self.plan.port_duty:
             if interval.active(slot):
                 if interval.hits_input:
                     down_in[interval.port] = True
                 if interval.hits_output:
                     down_out[interval.port] = True
-        for duty in self.plan.port_duty:
-            if duty.active(slot):
-                if duty.hits_input:
-                    down_in[duty.port] = True
-                if duty.hits_output:
-                    down_out[duty.port] = True
         mask = ~down_in[:, np.newaxis] & ~down_out[np.newaxis, :]
         for outage in self.plan.link_down:
             if outage.active(slot):
                 mask[outage.input, outage.output] = False
-        self._mask_slot = slot
         self._down_in = down_in
         self._down_out = down_out
         self._mask = mask
+        # A down port clears its whole row or column of the mask.
+        self._degraded = not mask.all()
 
     def down_inputs(self, slot: int) -> np.ndarray:
         """Boolean vector of dead input sides this slot."""
@@ -142,9 +152,7 @@ class FaultInjector:
     def degraded(self, slot: int) -> bool:
         """True iff any topology fault is active this slot."""
         self._topology(slot)
-        return bool(self._down_in.any() or self._down_out.any()) or not bool(
-            self._mask[~self._down_in][:, ~self._down_out].all()
-        )
+        return self._degraded
 
     # -- control-message faults ----------------------------------------------
 

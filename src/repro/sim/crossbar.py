@@ -342,7 +342,8 @@ class InputQueuedSwitch:
         queued = self.total_queued() if admission is not None else 0
         arrived = dropped = shed = 0
         delays: list[int] = []  # every forward's, in order
-        down = mask = None
+        down = mask = packed = None
+        degraded = False
         grants: list[int] = []
 
         slot = first_slot
@@ -351,14 +352,22 @@ class InputQueuedSwitch:
             if injector is not None:
                 down_in = injector.down_inputs(slot)
                 self._track_faults(slot, down_in, injector.down_outputs(slot))
-                if injector.degraded(slot):
+                mask = injector.request_mask(slot)
+                if mask is not packed:
+                    # The injector hands out the same arrays until a
+                    # fault changes state, so this runs once per change.
+                    # An undegraded mask is all true: nothing to thin.
+                    packed = mask
+                    degraded = injector.degraded(slot)
+                    if degraded:
+                        mask_rows, mask_cols = pack_rows(mask), pack_cols(mask)
+                    # Hosts keep sending while their ingress is down: the
+                    # backlog builds in the PQ, and the link injects nothing.
+                    down = down_in.tolist() if down_in.any() else None
+                if degraded:
                     self.degraded_slots += 1
                     if metered:
                         self._m_degraded.inc()
-                # Hosts keep sending while their ingress is down: the
-                # backlog builds in the PQ, and the link injects nothing.
-                down = down_in.tolist() if down_in.any() else None
-                mask = injector.request_mask(slot)
             if admission is not None:
                 # One decision per slot, on the occupancy the slot starts
                 # with; a shed arrival never reaches a PQ.
@@ -431,14 +440,12 @@ class InputQueuedSwitch:
             #    downstream (output gate) removes its output column.
             seen_rows, seen_cols, blocked = rows, cols, None
             if thinning:
-                if mask is not None:
-                    mask_rows = pack_rows(mask)
                 if adapter is not None:
                     seen = adapter.filter_requests(slot, unpack_rows(rows, n))
                     seen_rows, seen_cols = pack_rows(seen), pack_cols(seen)
-                elif mask is not None:
+                elif degraded:
                     seen_rows = [r & m for r, m in zip(rows, mask_rows)]
-                    seen_cols = [c & m for c, m in zip(cols, pack_cols(mask))]
+                    seen_cols = [c & m for c, m in zip(cols, mask_cols)]
                 if gate is not None:
                     blocked = gate(slot)
                 if blocked is not None:
@@ -473,7 +480,7 @@ class InputQueuedSwitch:
                         self.blocked_grants += 1
             if adapter is not None:
                 proposed = np.array(grants, dtype=np.int64)
-            if mask is not None:
+            if degraded:
                 # Fabric gate: whatever the scheduler emitted, no grant
                 # crosses a faulted crosspoint. Informed, it should never
                 # fire; blind, every grant it drops is a wasted slot the
@@ -563,10 +570,16 @@ class InputQueuedSwitch:
         """
         recovering = self._recovering_since
         prev_in, prev_out = self._down_in_prev, self._down_out_prev
-        changed = (
-            down_in.tobytes() != prev_in.tobytes()
-            or down_out.tobytes() != prev_out.tobytes()
-        )
+        if down_in is prev_in and down_out is prev_out:
+            changed = False
+        else:
+            # The injector's arrays are new objects after every change
+            # and never mutated, so the switch keeps them, not copies.
+            changed = (
+                down_in.tobytes() != prev_in.tobytes()
+                or down_out.tobytes() != prev_out.tobytes()
+            )
+            self._down_in_prev, self._down_out_prev = down_in, down_out
         if not changed and recovering.max() < 0:
             return
         tracer, metrics = self.tracer, self.metrics
@@ -596,8 +609,6 @@ class InputQueuedSwitch:
                                 tracer.emit(ev.recovery(slot, port, side, 0))
                         else:
                             self._recovering_since[port] = slot
-            self._down_in_prev = down_in.copy()
-            self._down_out_prev = down_out.copy()
         for port in np.flatnonzero(recovering >= 0):
             if self._input_backlog(port) <= self._backlog_at_fault[port]:
                 backlog_slots = slot - int(self._recovering_since[port])

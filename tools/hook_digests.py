@@ -6,9 +6,9 @@ that the golden traces (``tools/check_trace_diff.py``) and the lossy
 digests (``tools/lossy_run_digests.py``) leave unpinned gets a case
 here: reference and weight-based schedulers with and without a
 port-down plan, admission control that sheds, informed topology faults
-on ``islip``/``pim``, the fault-blind adaptive stance, the reference
-request-loss filter, service-matrix collection, queues small enough
-to drop and block at load 1.0, and a traced 3-stage
+on ``islip``/``pim`` and the four LCF kernels, the fault-blind adaptive
+stance, the reference request-loss filter, service-matrix collection,
+queues small enough to drop and block at load 1.0, and a traced 3-stage
 C(4,4,4) fabric with and without a middle-switch fault. Each crossbar
 case runs at n = 8 and n = 80 (masks wider than one 64-bit word) in
 three instrumentation modes:
@@ -126,7 +126,9 @@ def _crossbar_cases() -> dict[str, dict]:
         cases[f"admission-{name}"] = {
             "scheduler": name, "load": 1.0, "admission": _shedding_band,
         }
-    for name in ("islip", "pim"):
+    for name in (
+        "islip", "pim", "lcf_central", "lcf_central_rr", "lcf_dist", "lcf_dist_rr",
+    ):
         cases[f"informed-{name}"] = {"scheduler": name, "faults": _topology_plan}
     for policy in ("adaptive", "oblivious"):
         cases[f"blind-{policy}-lcf_central_rr"] = {
