@@ -29,197 +29,101 @@ See ``DESIGN.md`` for the full system inventory and ``EXPERIMENTS.md``
 for the paper-versus-measured record.
 """
 
+from repro._lazy import lazy_exports
 from repro._version import __version__
-from repro.adapt import (
-    AdaptConfig,
-    AdaptiveLCF,
-    BackupPortPolicy,
-    HealthEstimator,
-    ObliviousAdapter,
-    make_adapter,
-)
-from repro.baselines import (
-    FIFOScheduler,
-    GreedyMaximal,
-    ISLIP,
-    PIM,
-    RandomMaximal,
-    WrappedWaveFront,
-    available_schedulers,
-    make_scheduler,
-)
-from repro.core import (
-    IterativeScheduler,
-    LCFCentral,
-    LCFCentralRR,
-    LCFCentralVariant,
-    LCFDistributed,
-    LCFDistributedRR,
-    PrecalcResult,
-    PrecalcScheduler,
-    RRCoverage,
-    Scheduler,
-    check_precalc_integrity,
-)
-from repro.baselines.weighted import LQF, OCF
-from repro.core.multicast import MulticastCell, MulticastScheduler
-from repro.fabric import (
-    ClosNetwork,
-    CrossbarFabric,
-    FabricResult,
-    FabricShard,
-    FabricSpec,
-    make_router,
-    run_fabric,
-)
-from repro.checkpoint import (
-    CheckpointError,
-    load_checkpoint,
-    resume_simulation,
-    save_checkpoint,
-)
-from repro.columnar import (
-    ColumnarEngine,
-    columnar_schedulers,
-    columnar_supported,
-    has_columnar_kernel,
-    make_columnar_kernel,
-    run_replicates,
-)
-from repro.fastpath import (
-    FastISLIP,
-    FastLCFCentral,
-    FastLCFCentralRR,
-    FastPIM,
-    fast_schedulers,
-    has_fast_kernel,
-    make_fast_scheduler,
-)
-from repro.faults import FaultInjector, FaultPlan
-from repro.matching import hopcroft_karp, maximum_matching_size
-from repro.obs import (
-    JsonlTracer,
-    MatchingQualityProbe,
-    MetricsRegistry,
-    NullTracer,
-    RingTracer,
-    Tracer,
-)
-from repro.sim import (
-    AdmissionController,
-    InputQueuedSwitch,
-    OutputBufferedSwitch,
-    PipelinedSwitch,
-    SimConfig,
-    SimResult,
-    make_admission,
-    run_simulation,
-)
-from repro.sim.cioq import CIOQSwitch
-from repro.sweep import (
-    ParallelRunner,
-    ResultCache,
-    SweepPoint,
-    SweepSpec,
-    merge_results,
-)
-from repro.traffic import TrafficPattern, make_traffic
 from repro.types import NO_GRANT
 
-__all__ = [
-    "__version__",
-    "NO_GRANT",
-    # core
-    "Scheduler",
-    "IterativeScheduler",
-    "LCFCentral",
-    "LCFCentralRR",
-    "LCFCentralVariant",
-    "LCFDistributed",
-    "LCFDistributedRR",
-    "RRCoverage",
-    "PrecalcScheduler",
-    "PrecalcResult",
-    "check_precalc_integrity",
-    # baselines
-    "PIM",
-    "ISLIP",
-    "WrappedWaveFront",
-    "FIFOScheduler",
-    "GreedyMaximal",
-    "RandomMaximal",
-    "available_schedulers",
-    "make_scheduler",
-    # matching
-    "hopcroft_karp",
-    "maximum_matching_size",
-    # simulation
-    "SimConfig",
-    "SimResult",
-    "run_simulation",
-    "AdmissionController",
-    "make_admission",
-    "InputQueuedSwitch",
-    "OutputBufferedSwitch",
-    "PipelinedSwitch",
-    "CIOQSwitch",
-    # fastpath kernels
-    "FastLCFCentral",
-    "FastLCFCentralRR",
-    "FastISLIP",
-    "FastPIM",
-    "fast_schedulers",
-    "has_fast_kernel",
-    "make_fast_scheduler",
-    # sweep engine
-    "SweepSpec",
-    "SweepPoint",
-    "ParallelRunner",
-    "ResultCache",
-    "merge_results",
-    # columnar replicate batching
-    "ColumnarEngine",
-    "run_replicates",
-    "columnar_schedulers",
-    "columnar_supported",
-    "has_columnar_kernel",
-    "make_columnar_kernel",
-    # checkpoint/restore
-    "CheckpointError",
-    "save_checkpoint",
-    "load_checkpoint",
-    "resume_simulation",
-    # fault injection
-    "FaultPlan",
-    "FaultInjector",
-    # adaptive fault reaction
-    "AdaptConfig",
-    "AdaptiveLCF",
-    "HealthEstimator",
-    "BackupPortPolicy",
-    "ObliviousAdapter",
-    "make_adapter",
-    # observability
-    "Tracer",
-    "NullTracer",
-    "RingTracer",
-    "JsonlTracer",
-    "MetricsRegistry",
-    "MatchingQualityProbe",
-    # extensions
-    "LQF",
-    "OCF",
-    "MulticastCell",
-    "MulticastScheduler",
-    "CrossbarFabric",
-    "ClosNetwork",
-    # multi-switch fabric simulation
-    "FabricSpec",
-    "FabricResult",
-    "FabricShard",
-    "run_fabric",
-    "make_router",
-    # traffic
-    "TrafficPattern",
-    "make_traffic",
-]
+#: Each public name's module. ``import repro`` imports none of them: a
+#: name's module is imported when the name is first looked up.
+_EXPORTS = {
+    "repro.core": (
+        "Scheduler",
+        "IterativeScheduler",
+        "LCFCentral",
+        "LCFCentralRR",
+        "LCFCentralVariant",
+        "LCFDistributed",
+        "LCFDistributedRR",
+        "RRCoverage",
+        "PrecalcScheduler",
+        "PrecalcResult",
+        "check_precalc_integrity",
+    ),
+    "repro.baselines": (
+        "PIM",
+        "ISLIP",
+        "WrappedWaveFront",
+        "FIFOScheduler",
+        "GreedyMaximal",
+        "RandomMaximal",
+        "available_schedulers",
+        "make_scheduler",
+    ),
+    "repro.matching": ("hopcroft_karp", "maximum_matching_size"),
+    "repro.sim": (
+        "SimConfig",
+        "SimResult",
+        "run_simulation",
+        "AdmissionController",
+        "make_admission",
+        "InputQueuedSwitch",
+        "OutputBufferedSwitch",
+        "PipelinedSwitch",
+    ),
+    "repro.sim.cioq": ("CIOQSwitch",),
+    "repro.fastpath": (
+        "FastLCFCentral",
+        "FastLCFCentralRR",
+        "FastISLIP",
+        "FastPIM",
+        "fast_schedulers",
+        "has_fast_kernel",
+        "make_fast_scheduler",
+    ),
+    "repro.sweep": ("SweepSpec", "SweepPoint", "ParallelRunner", "ResultCache", "merge_results"),
+    "repro.columnar": (
+        "ColumnarEngine",
+        "run_replicates",
+        "columnar_schedulers",
+        "columnar_supported",
+        "has_columnar_kernel",
+        "make_columnar_kernel",
+    ),
+    "repro.checkpoint": (
+        "CheckpointError",
+        "save_checkpoint",
+        "load_checkpoint",
+        "resume_simulation",
+    ),
+    "repro.faults": ("FaultPlan", "FaultInjector"),
+    "repro.adapt": (
+        "AdaptConfig",
+        "AdaptiveLCF",
+        "HealthEstimator",
+        "BackupPortPolicy",
+        "ObliviousAdapter",
+        "make_adapter",
+    ),
+    "repro.obs": (
+        "Tracer",
+        "NullTracer",
+        "RingTracer",
+        "JsonlTracer",
+        "MetricsRegistry",
+        "MatchingQualityProbe",
+    ),
+    "repro.baselines.weighted": ("LQF", "OCF"),
+    "repro.core.multicast": ("MulticastCell", "MulticastScheduler"),
+    "repro.fabric": (
+        "CrossbarFabric",
+        "ClosNetwork",
+        "FabricSpec",
+        "FabricResult",
+        "FabricShard",
+        "run_fabric",
+        "make_router",
+    ),
+    "repro.traffic": ("TrafficPattern", "make_traffic"),
+}
+_public, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__all__ = ["__version__", "NO_GRANT", *_public]

@@ -13,33 +13,22 @@
 * :mod:`repro.analysis.cli` — the ``lcf-sweep`` command-line entry point.
 """
 
-from repro.analysis.convergence import convergence_curve, convergence_table
-from repro.analysis.fairness import saturated_service_counts, starvation_report
-from repro.analysis.replication import compare_with_ci, replicate
-from repro.analysis.sweep import (
-    SweepResult,
-    SweepSpec,
-    check_paper_shape,
-    run_sweep,
-    shape_report,
-)
-from repro.analysis.throughput import saturation_table, saturation_throughput
-from repro.analysis.voq_dynamics import leveling_comparison, measure_voq_dynamics
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SweepSpec",
-    "SweepResult",
-    "run_sweep",
-    "check_paper_shape",
-    "shape_report",
-    "saturated_service_counts",
-    "starvation_report",
-    "saturation_throughput",
-    "saturation_table",
-    "replicate",
-    "compare_with_ci",
-    "convergence_curve",
-    "convergence_table",
-    "measure_voq_dynamics",
-    "leveling_comparison",
-]
+#: Each public name's module, imported when the name is first looked up
+#: (``import repro.analysis.sweep`` runs this file and imports nothing else).
+_EXPORTS = {
+    "repro.analysis.sweep": (
+        "SweepSpec",
+        "SweepResult",
+        "run_sweep",
+        "check_paper_shape",
+        "shape_report",
+    ),
+    "repro.analysis.fairness": ("saturated_service_counts", "starvation_report"),
+    "repro.analysis.throughput": ("saturation_throughput", "saturation_table"),
+    "repro.analysis.replication": ("replicate", "compare_with_ci"),
+    "repro.analysis.convergence": ("convergence_curve", "convergence_table"),
+    "repro.analysis.voq_dynamics": ("measure_voq_dynamics", "leveling_comparison"),
+}
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -234,7 +234,7 @@ class ColumnarISLIP(ColumnarKernel):
         self._ord_a = self._ord_g.copy()
         self._gkey = np.empty((replicates, n, n), dtype=np.int64)
         self._akey = np.empty((replicates, n, n), dtype=np.int64)
-        self._rows = np.arange(replicates)
+        self._rows = np.arange(replicates)[:, np.newaxis]
 
     @property
     def pointers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -265,8 +265,8 @@ class ColumnarISLIP(ColumnarKernel):
         for iteration in range(self.iterations):
             # Grant step: per (replicate, output), the requesting input
             # next at or after the grant pointer.
-            gwin = np.argmin(gkey, axis=2)
-            gval = gkey[self._rows[:, np.newaxis], arange_n, gwin]
+            gwin = gkey.argmin(axis=2)
+            gval = gkey[self._rows, arange_n, gwin]
             ghas = gval != n
             if not ghas.any():
                 break
@@ -279,8 +279,8 @@ class ColumnarISLIP(ColumnarKernel):
             # replicate and the scatters below are conflict free.
             akey.fill(n)
             akey[rg, ig, jg] = self._ord_a[rg, ig, jg]
-            awin = np.argmin(akey, axis=2)
-            aval = akey[self._rows[:, np.newaxis], arange_n, awin]
+            awin = akey.argmin(axis=2)
+            aval = akey[self._rows, arange_n, awin]
             ra, ia = np.nonzero(aval != n)
             ja = awin[ra, ia]
             schedule[ra, ia] = ja
