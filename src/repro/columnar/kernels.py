@@ -28,10 +28,13 @@ engine's process parallelism then multiplies this per-worker
 vectorisation instead of replacing it. At small R those calls are the
 cost, so the batched LCF kernel moves everything a step can know in
 advance (its column's requests, key base and NRQ decrement) into a few
-whole-tensor operations once per cycle, into buffers it reuses.
+contiguous whole-tensor passes once per cycle, into buffers it reuses,
+and a step is five numpy calls on narrow (int32) keys.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -45,16 +48,22 @@ from repro.types import NO_GRANT
 _CHAIN_CACHE: dict[int, np.ndarray] = {}
 
 
-# Poison value for a matched input's nrq key, and the threshold that
-# separates real composite keys (<= n^2 + n) from poisoned ones. The
-# loop decrements a poisoned key at most n times by n, so it never
-# drops below _MATCHED - n^2 >> _MATCHED_THRESHOLD for any sane n.
-_MATCHED = np.int64(1) << 40
-_MATCHED_THRESHOLD = np.int64(1) << 39
-# Added to the key base of an input that does not request a step's
-# column: it keeps the key above _MATCHED_THRESHOLD whatever the nrq key
-# (real, or poisoned up to _MATCHED), and far from int64 overflow.
-_NO_REQUEST = _MATCHED
+# Batched LCF keys are int32. At a step, an unmatched input that
+# requests the step's column has the serial composite key
+# nrq * n + chain ordinal, in [n, n * (n + 1)); the DIAGONAL chain
+# start gets _DIAGONAL on top, below every other live key. An extra
+# sentinel column, keyed exactly _SENTINEL, stands for "no grant": it
+# sits above every live key while n * (n + 1) <= _SENTINEL, and below
+# every dead key. An input that does not request the column has
+# _NO_REQUEST in its key base, so its key is at least
+# _NO_REQUEST + _DIAGONAL = 3 * 2**27. A matched input's NRQ key is
+# reset to _MATCHED and then loses at most n per later step, so its key
+# stays above _MATCHED - n**2 + _DIAGONAL > 2**28. The largest key,
+# _NO_REQUEST + _MATCHED + n - 1, stays below 2**31.
+_SENTINEL = 1 << 27
+_NO_REQUEST = 1 << 29
+_MATCHED = 1 << 29
+_DIAGONAL = -_SENTINEL
 
 
 def chain_table(n: int) -> np.ndarray:
@@ -74,13 +83,27 @@ class ColumnarKernel:
     #: Registry name of the serial scheduler this kernel batches.
     name: str = "columnar"
 
+    #: Widest switch the kernel schedules (``None``: any width).
+    max_ports: int | None = None
+
     def __init__(self, n: int, replicates: int):
         if n < 1:
             raise ValueError(f"switch must have at least 1 port, got n={n}")
         if replicates < 1:
             raise ValueError(f"need at least 1 replicate, got R={replicates}")
+        if self.max_ports is not None and n > self.max_ports:
+            raise ValueError(
+                f"{type(self).__name__} schedules at most {self.max_ports} "
+                f"ports, got n={n}"
+            )
         self.n = n
         self.replicates = replicates
+
+    @staticmethod
+    def buffer_bytes(n: int, replicates: int) -> int:
+        """Bytes of the kernel's buffers that grow with ``R * n**2``,
+        known before the kernel is built."""
+        raise NotImplementedError
 
     def schedule_batch(self, requests_t: np.ndarray) -> np.ndarray:
         """One scheduling cycle for every replicate.
@@ -108,16 +131,27 @@ class ColumnarLCFCentral(ColumnarKernel):
     Per output step the serial ``rotating_argmin`` composite key
     ``nrq * n + chain_pos`` is unique among candidates, so a plain
     ``argmin`` over it reproduces the serial grant exactly, replicate
-    by replicate. Once per cycle the request tensor is gathered in step
-    order, and each step's key base (the chain ordinal, plus
-    :data:`_NO_REQUEST` where the input does not request the column)
-    and NRQ decrement are precomputed into buffers reused across
-    cycles; a step is then one add, an argmin and a gather, then the
-    updates. Granted inputs are excluded from later steps by poisoning
-    their ``nrq`` key to :data:`_MATCHED` (far above any real composite
-    key) rather than by clearing request rows — the input tensor stays
-    pristine.
+    by replicate. Once per cycle the request tensor is copied in step
+    order into a buffer with one extra input column, the sentinel, that
+    requests nothing. Three contiguous passes over it give every step's
+    int32 key base (the chain ordinal, plus :data:`_NO_REQUEST` where the
+    input does not request the column; the DIAGONAL chain start also
+    gets :data:`_DIAGONAL`, so the Figure 2 pre-emption needs no step of
+    its own) and NRQ decrement (the column's requests scaled by ``n``),
+    and a sum gives the NRQ keys. A step is then five calls: the key
+    add, ``argmin`` into the winners buffer, the winners' flat offsets,
+    the NRQ decrement, and a ``put`` that resets every winner's NRQ key
+    to :data:`_MATCHED`. The sentinel's key is :data:`_SENTINEL` and its
+    NRQ key rests at :data:`_MATCHED`, so a column no unmatched input
+    requests lands on it and the reset changes nothing. The cycle's
+    grants are scattered from the winners buffer once at the end; the
+    input tensor stays pristine.
+
+    The keys bound the width: :attr:`max_ports` is the largest ``n``
+    with ``n * (n + 1) < _SENTINEL``.
     """
+
+    max_ports = 11_584
 
     def __init__(self, n: int, replicates: int, coverage: RRCoverage):
         super().__init__(n, replicates)
@@ -129,14 +163,36 @@ class ColumnarLCFCentral(ColumnarKernel):
         self.name = "lcf_central" if coverage is RRCoverage.NONE else "lcf_central_rr"
         self._i = 0
         self._j = 0
-        # Flat offset of each replicate's row in an (R, n) buffer.
-        self._offsets = np.arange(replicates) * n
-        # Per-cycle step tensors, indexed [step, replicate, input].
-        self._req = np.empty((n, replicates, n), dtype=bool)
-        self._base = np.empty((n, replicates, n), dtype=np.int64)
-        self._dec = np.empty((n, replicates, n), dtype=np.int64)
-        self._nrq_key = np.empty((replicates, n), dtype=np.int64)
-        self._key = np.empty((replicates, n), dtype=np.int64)
+        # Row k: the key base of the chain that starts at input k for a
+        # requesting input (plus _NO_REQUEST, which a request takes
+        # off), then the sentinel's base. Stacked twice, so a cycle's
+        # rows (I + s) % n are one slice, as are its columns (J + s) % n.
+        chain = np.empty((2 * n, n + 1), dtype=np.int32)
+        chain[:n, :n] = chain_table(n)
+        chain[:n, :n] += _NO_REQUEST
+        if coverage is RRCoverage.DIAGONAL:
+            chain[np.arange(n), np.arange(n)] += _DIAGONAL
+        chain[:n, n] = _SENTINEL - _MATCHED
+        chain[n:] = chain[:n]
+        self._chain = chain[:, np.newaxis, :]
+        self._cols = np.arange(2 * n) % n
+        # Step buffers, indexed [step, replicate, input]; the last input
+        # is the sentinel.
+        self._req = np.zeros((n, replicates, n + 1), dtype=bool)
+        self._base = np.empty((n, replicates, n + 1), dtype=np.int32)
+        self._dec = np.empty((n, replicates, n + 1), dtype=np.int32)
+        self._nrq_key = np.empty((replicates, n + 1), dtype=np.int32)
+        self._key = np.empty((replicates, n + 1), dtype=np.int32)
+        self._winner = np.empty((n, replicates), dtype=np.intp)
+        self._flat = np.empty((n, replicates), dtype=np.intp)
+        # Flat offset of each replicate's row in an (R, n + 1) buffer.
+        self._offsets = np.arange(replicates) * (n + 1)
+        self._steps = list(zip(self._base, self._dec, self._winner, self._flat))
+
+    @staticmethod
+    def buffer_bytes(n: int, replicates: int) -> int:
+        # The request copy (bool), key bases and decrements (int32).
+        return 9 * n * replicates * (n + 1)
 
     @property
     def rr_offsets(self) -> tuple[int, int]:
@@ -149,55 +205,39 @@ class ColumnarLCFCentral(ColumnarKernel):
 
     def schedule_batch(self, requests_t: np.ndarray) -> np.ndarray:
         n = self.n
-        offsets = self._offsets
-        diagonal = self.coverage is RRCoverage.DIAGONAL
-        schedule = np.full((self.replicates, n), NO_GRANT, dtype=np.int64)
-        steps = np.arange(n)
-        step_cols = (self._j + steps) % n
-        rr_rows = (self._i + steps) % n
+        i, j = self._i, self._j
+        # Step s schedules output (J + s) % n, whose chain starts at
+        # input (I + s) % n.
+        req = self._req
+        by_step = req[:, :, :n].transpose(1, 0, 2)
+        np.copyto(by_step[:, : n - j], requests_t[:, j:])
+        np.copyto(by_step[:, n - j :], requests_t[:, :j])
+        base, dec, nrq_key = self._base, self._dec, self._nrq_key
+        np.multiply(req, np.int32(-_NO_REQUEST), out=base)
+        base += self._chain[i : i + n]
+        np.multiply(req, np.int32(n), out=dec)
+        np.add.reduce(dec, axis=0, out=nrq_key)
+        nrq_key[:, n] = _MATCHED
 
-        # Step s schedules output step_cols[s], whose chain starts at
-        # rr_rows[s]. Its key base is that chain's ordinal where an
-        # input requests the column and the ordinal plus _NO_REQUEST
-        # elsewhere; its decrement is the column's requests scaled by
-        # n. The nrq key is nrq scaled by n, so base + nrq key is the
-        # serial composite key.
-        req, base, dec = self._req, self._base, self._dec
-        np.take(requests_t.transpose(1, 0, 2), step_cols, axis=0, out=req)
-        np.multiply(req, n, out=dec)
-        np.multiply(req, -_NO_REQUEST, out=base)
-        base += (chain_table(n)[rr_rows] + _NO_REQUEST)[:, np.newaxis, :]
-        nrq_key = self._nrq_key
-        np.sum(dec, axis=0, out=nrq_key)
-        key = self._key
-
-        for s in range(n):
-            np.add(base[s], nrq_key, out=key)
-            winner = key.argmin(axis=1)
-            # A replicate has a grant iff its argmin hit an unmatched
-            # requester: a matched one is poisoned, and a column nobody
-            # unmatched requests keeps every key above the threshold.
-            granted = (key.take(winner + offsets) < _MATCHED_THRESHOLD).nonzero()[0]
-            if diagonal:
-                # Figure 2: the diagonal position pre-empts LCF (when
-                # the diagonal input requests the column and is not yet
-                # matched).
-                rr_row = rr_rows[s]
-                winner[key[:, rr_row] < _MATCHED_THRESHOLD] = rr_row
+        key, offsets = self._key, self._offsets
+        add, subtract = np.add, np.subtract
+        argmin, poison = key.argmin, nrq_key.put
+        for base_s, dec_s, winner, flat in self._steps:
+            add(base_s, nrq_key, out=key)
+            argmin(axis=1, out=winner)
+            add(winner, offsets, out=flat)
             # Figure 2: nrq[req] := nrq[req] - 1 for this column's
-            # requesters. Matched requesters are decremented too, which
-            # is harmless: their key stays far above the threshold.
-            nrq_key -= dec[s]
-            if granted.size:
-                g = winner[granted]
-                schedule[granted, g] = step_cols[s]
-                nrq_key[granted, g] = _MATCHED
+            # requesters (matched ones too, which stay dead).
+            subtract(nrq_key, dec_s, out=nrq_key)
+            poison(flat, _MATCHED)
 
+        schedule = np.full((self.replicates, n + 1), NO_GRANT, dtype=np.int64)
+        schedule.reshape(-1)[self._flat] = self._cols[j : j + n, np.newaxis]
         # Figure 2, last line: I := (I+1) mod n; if I = 0, J := (J+1).
-        self._i = (self._i + 1) % n
+        self._i = (i + 1) % n
         if self._i == 0:
-            self._j = (self._j + 1) % n
-        return schedule
+            self._j = (j + 1) % n
+        return schedule[:, :n]
 
 
 class ColumnarISLIP(ColumnarKernel):
@@ -235,6 +275,11 @@ class ColumnarISLIP(ColumnarKernel):
         self._gkey = np.empty((replicates, n, n), dtype=np.int64)
         self._akey = np.empty((replicates, n, n), dtype=np.int64)
         self._rows = np.arange(replicates)[:, np.newaxis]
+
+    @staticmethod
+    def buffer_bytes(n: int, replicates: int) -> int:
+        # Pointer orders and the grant/accept keys (int64).
+        return 32 * replicates * n * n
 
     @property
     def pointers(self) -> tuple[np.ndarray, np.ndarray]:
@@ -301,28 +346,58 @@ class ColumnarISLIP(ColumnarKernel):
         return schedule
 
 
-_COLUMNAR_FACTORIES = {
-    "lcf_central": lambda n, R, **kw: ColumnarLCFCentral(n, R, RRCoverage.NONE),
-    "lcf_central_rr": lambda n, R, **kw: ColumnarLCFCentral(
-        n, R, RRCoverage.DIAGONAL
+#: Covered registry name -> (kernel class, constructor).
+_COLUMNAR_KERNELS: dict[str, tuple[type[ColumnarKernel], Callable[..., ColumnarKernel]]] = {
+    "lcf_central": (
+        ColumnarLCFCentral,
+        lambda n, R, **kw: ColumnarLCFCentral(n, R, RRCoverage.NONE),
     ),
-    "islip": lambda n, R, iterations=IterativeScheduler.DEFAULT_ITERATIONS, **kw: (
-        ColumnarISLIP(n, R, iterations)
+    "lcf_central_rr": (
+        ColumnarLCFCentral,
+        lambda n, R, **kw: ColumnarLCFCentral(n, R, RRCoverage.DIAGONAL),
+    ),
+    "islip": (
+        ColumnarISLIP,
+        lambda n, R, iterations=IterativeScheduler.DEFAULT_ITERATIONS, **kw: (
+            ColumnarISLIP(n, R, iterations)
+        ),
     ),
 }
 
 #: Registry names with a columnar kernel (everything else falls back).
-COLUMNAR_SCHEDULER_NAMES = frozenset(_COLUMNAR_FACTORIES)
+COLUMNAR_SCHEDULER_NAMES = frozenset(_COLUMNAR_KERNELS)
 
 
 def columnar_schedulers() -> tuple[str, ...]:
     """Sorted registry names that have a replicate-batched kernel."""
-    return tuple(sorted(_COLUMNAR_FACTORIES))
+    return tuple(sorted(_COLUMNAR_KERNELS))
 
 
-def has_columnar_kernel(name: str) -> bool:
-    """Whether ``make_columnar_kernel(name, ...)`` can batch this scheduler."""
-    return name in _COLUMNAR_FACTORIES
+def has_columnar_kernel(name: str, n_ports: int | None = None) -> bool:
+    """Whether ``make_columnar_kernel(name, ...)`` can batch this
+    scheduler and, given ``n_ports``, at that width (see
+    :attr:`ColumnarKernel.max_ports`)."""
+    entry = _COLUMNAR_KERNELS.get(name)
+    if entry is None:
+        return False
+    max_ports = entry[0].max_ports
+    return n_ports is None or max_ports is None or n_ports <= max_ports
+
+
+def _kernel_entry(name: str) -> tuple[type[ColumnarKernel], Callable[..., ColumnarKernel]]:
+    entry = _COLUMNAR_KERNELS.get(name)
+    if entry is None:
+        raise KeyError(
+            f"no columnar kernel for {name!r}; "
+            f"covered: {', '.join(columnar_schedulers())}"
+        )
+    return entry
+
+
+def columnar_kernel_bytes(name: str, n: int, replicates: int) -> int:
+    """:meth:`ColumnarKernel.buffer_bytes` of the kernel that batches
+    ``name``, before it is built."""
+    return _kernel_entry(name)[0].buffer_bytes(n, replicates)
 
 
 def make_columnar_kernel(name: str, n: int, replicates: int, **kwargs) -> ColumnarKernel:
@@ -332,10 +407,4 @@ def make_columnar_kernel(name: str, n: int, replicates: int, **kwargs) -> Column
     no silent fallback — the engine decides per configuration whether to
     batch or run serially, so an uncovered name here is a bug.
     """
-    factory = _COLUMNAR_FACTORIES.get(name)
-    if factory is None:
-        raise KeyError(
-            f"no columnar kernel for {name!r}; "
-            f"covered: {', '.join(columnar_schedulers())}"
-        )
-    return factory(n, replicates, **kwargs)
+    return _kernel_entry(name)[1](n, replicates, **kwargs)

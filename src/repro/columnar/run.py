@@ -63,6 +63,7 @@ def _null_faults(faults) -> bool:
 def columnar_supported(
     scheduler_name: str,
     *,
+    n_ports: int | None = None,
     traffic: object = "bernoulli",
     faults=None,
     adapter=None,
@@ -71,11 +72,16 @@ def columnar_supported(
 ) -> tuple[bool, str]:
     """Whether a replicate block can run on the columnar engine.
 
-    Returns ``(supported, reason)`` — ``reason`` names the first
-    blocking feature when unsupported (useful in logs and tests).
+    ``n_ports``, when given, is the switch width: a width the kernel's
+    keys do not cover (:attr:`~repro.columnar.kernels.ColumnarKernel.max_ports`)
+    is never batched. Returns ``(supported, reason)`` — ``reason`` names
+    the first blocking feature when unsupported (useful in logs and
+    tests).
     """
     if not has_columnar_kernel(scheduler_name):
         return False, f"no columnar kernel for scheduler {scheduler_name!r}"
+    if n_ports is not None and not has_columnar_kernel(scheduler_name, n_ports):
+        return False, f"{n_ports} ports are beyond the {scheduler_name!r} kernel's keys"
     if not isinstance(traffic, str):
         return False, "traffic must be a registry name, not a pattern instance"
     if not _null_faults(faults):
@@ -90,10 +96,11 @@ def columnar_supported(
 
 
 #: Smallest replicate block :func:`run_replicates` runs on the columnar
-#: engine. Below it the switch-reuse serial loop is faster: the engine's
-#: per-slot numpy dispatch costs more than R serial bitset slots. At
-#: n=16 serial and columnar break even near R=6 for every covered
-#: kernel; docs/PERFORMANCE.md has the measured table.
+#: engine; smaller blocks run on the switch-reuse serial loop, where the
+#: engine's per-slot numpy dispatch cost more than R serial bitset slots
+#: when R = 2 and 4 were last measured. At R = 8, serial ÷ columnar
+#: time at n = 16 / 64 reads about 2.0 / 6.1-6.4 for the LCF kernels and
+#: 1.15 / 2.0 for iSLIP (medians; docs/PERFORMANCE.md has the table).
 COLUMNAR_MIN_REPLICATES = 8
 
 
@@ -102,7 +109,7 @@ def runs_columnar(scheduler_name: str, replicates: int, **features) -> bool:
     seeds on the columnar engine: the block is at or above
     :data:`COLUMNAR_MIN_REPLICATES` and :func:`columnar_supported`
     accepts ``scheduler_name`` with ``features`` (its keyword
-    arguments)."""
+    arguments, ``n_ports`` included)."""
     return (
         replicates >= COLUMNAR_MIN_REPLICATES
         and columnar_supported(scheduler_name, **features)[0]
@@ -232,7 +239,9 @@ def run_replicates(
         admission=admission,
         tracer_factory=tracer_factory,
     )
-    if runs_columnar(scheduler_name, len(seed_list), **features):
+    if runs_columnar(
+        scheduler_name, len(seed_list), n_ports=config.n_ports, **features
+    ):
         try:
             return ColumnarEngine(
                 config,

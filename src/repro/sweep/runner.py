@@ -346,6 +346,7 @@ class ParallelRunner:
             batched = self.checkpoint_every is None and runs_columnar(
                 first.scheduler,
                 len(cell),
+                n_ports=spec.config.n_ports,
                 traffic=first.traffic,
                 faults=dict(first.fault_kwargs) or None,
                 adapter=dict(first.adapt_kwargs) or None,

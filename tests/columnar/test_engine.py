@@ -12,8 +12,9 @@ cross-product (schedulers x loads x traffic x wide switches) runs under
 import numpy as np
 import pytest
 
+import repro.columnar.engine as engine_mod
 from repro.columnar.engine import ColumnarEngine, ColumnarMemoryError
-from repro.columnar.kernels import columnar_schedulers
+from repro.columnar.kernels import columnar_kernel_bytes, columnar_schedulers
 from repro.columnar.run import run_replicates
 from repro.sim.config import SimConfig
 from repro.sim.simulator import run_simulation
@@ -70,7 +71,8 @@ class TestEngineEquivalence:
                 == pattern.rng.bit_generator.state
             )
 
-    def test_queue_pressure_drops_and_blocking_match(self):
+    @pytest.mark.parametrize("name", COVERED)
+    def test_queue_pressure_drops_and_blocking_match(self, name):
         # Tiny queues at overload: PQ drops, VOQ head blocking, and the
         # engine's circular-buffer growth all engage.
         config = SimConfig(
@@ -78,11 +80,36 @@ class TestEngineEquivalence:
             pq_capacity=3, voq_capacity=2,
         )
         seeds = [11, 12, 13]
-        results = ColumnarEngine(config, "lcf_central", 1.0, seeds).run()
-        expected = serial_results(config, "lcf_central", 1.0, seeds)
+        results = ColumnarEngine(config, name, 1.0, seeds).run()
+        expected = serial_results(config, name, 1.0, seeds)
         for want, got in zip(expected, results):
             assert want.dropped > 0  # the scenario actually exercises drops
             assert_results_bit_identical(want, got, "pressure")
+
+    @pytest.mark.parametrize("name", COVERED)
+    def test_moderate_pressure_runs_both_sides_of_the_empty_pq_rule(self, name):
+        # Small VOQs near saturation: some slots start with every PQ
+        # empty (stages 1-2 leave the PQ buffers alone) and some with a
+        # packet waiting in a PQ; both must match the serial runs.
+        config = SimConfig(
+            n_ports=8, warmup_slots=50, measure_slots=300,
+            pq_capacity=8, voq_capacity=8,
+        )
+        seeds = [21, 22, 23]
+        engine = ColumnarEngine(config, name, 0.95, seeds)
+        busy = []
+        schedule_batch = engine.kernel.schedule_batch
+
+        def record(requests_t):
+            busy.append(bool(engine._pq_len.any()))
+            return schedule_batch(requests_t)
+
+        engine.kernel.schedule_batch = record
+        results = engine.run()
+        assert 0 < sum(busy) < len(busy)
+        expected = serial_results(config, name, 0.95, seeds)
+        for want, got in zip(expected, results):
+            assert_results_bit_identical(want, got, "moderate pressure")
 
     @pytest.mark.parametrize("n", [63, 64, 65])
     def test_word_boundary_widths(self, n):
@@ -139,6 +166,39 @@ class TestMemoryCeiling:
             ColumnarEngine(
                 config, "lcf_central", 1.0, [1, 2], max_bytes=1_000
             ).run()
+
+    def test_budget_counts_more_than_the_queues(self, crossover):
+        # A ceiling above the queue buffers but below everything the
+        # engine holds (VOQ heads and lengths, the request tensor, the
+        # kernel's step buffers) must fall back, bit-identical.
+        config = SimConfig(n_ports=8, warmup_slots=20, measure_slots=100)
+        seeds = [config.seed, config.seed + 1]
+        engine = ColumnarEngine(config, "lcf_central", 1.0, seeds)
+        engine.run()
+        queues = engine._pq_dst.nbytes + engine._pq_ts.nbytes + engine._voq_ts.nbytes
+        total = engine._buffer_bytes()
+        assert total > queues + engine.kernel.buffer_bytes(8, 2)
+        budget = (queues + total) // 2
+        with pytest.raises(ColumnarMemoryError):
+            ColumnarEngine(config, "lcf_central", 1.0, seeds, max_bytes=budget).run()
+        crossover(2)
+        results = run_replicates(config, "lcf_central", 1.0, 2, max_bytes=budget)
+        expected = serial_results(config, "lcf_central", 1.0, seeds)
+        for want, got in zip(expected, results):
+            assert_results_bit_identical(want, got, "fallback")
+
+    def test_budget_is_checked_before_the_kernel_is_built(self, monkeypatch):
+        def boom(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("kernel built past the memory ceiling")
+
+        monkeypatch.setattr(engine_mod, "make_columnar_kernel", boom)
+        config = SimConfig(n_ports=16, warmup_slots=0, measure_slots=10)
+        kernel_bytes = columnar_kernel_bytes("lcf_central_rr", 16, 8)
+        with pytest.raises(ColumnarMemoryError):
+            ColumnarEngine(
+                config, "lcf_central_rr", 0.5, list(range(8)),
+                max_bytes=kernel_bytes,
+            )
 
     def test_run_replicates_falls_back_and_stays_identical(self, crossover):
         crossover(2)

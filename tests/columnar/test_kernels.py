@@ -10,16 +10,18 @@ as fixed seeds, the full-width sweep under ``-m slow``.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import repro.columnar.kernels as kernels_mod
 from repro.baselines.registry import make_scheduler
 from repro.columnar.bitpack import pack_requests, unpack_requests
 from repro.columnar.kernels import (
     ColumnarISLIP,
     ColumnarLCFCentral,
     chain_table,
+    columnar_kernel_bytes,
     columnar_schedulers,
     has_columnar_kernel,
     make_columnar_kernel,
@@ -40,6 +42,35 @@ def batch_runs(draw, min_n=1, max_n=8, max_r=5, max_len=8):
         for _ in range(length)
     ]
     return n, r, tensors
+
+
+def edge_tensors(case):
+    """``(n, r, tensors)`` for a request pattern the batched step must
+    get right; tensors are ``[replicate, input, output]``."""
+    rng = np.random.default_rng(len(case))
+    if case == "all_false":
+        return 5, 3, [np.zeros((3, 5, 5), dtype=bool)] * 6
+    if case == "all_true":
+        return 5, 3, [np.ones((3, 5, 5), dtype=bool)] * 11
+    if case == "column_of_matched_inputs":
+        # First cycle (I = J = 0): input 0 wins output 0, then is the
+        # only requester of output 1, so that column grants nothing.
+        requests = np.zeros((2, 3, 3), dtype=bool)
+        requests[:, 0, [0, 1]] = True
+        requests[1, 2, 2] = True
+        return 3, 2, [requests] * 4
+    if case == "matched_diagonal_requester":
+        # First cycle: input 1 wins output 0 at step 0, then is the
+        # chain start of step 1 and requests output 1, but is matched:
+        # output 1 goes to input 2.
+        requests = np.zeros((2, 3, 3), dtype=bool)
+        requests[:, 1, [0, 1]] = True
+        requests[:, 2, 1] = True
+        return 3, 2, [requests] * 4
+    if case in ("n1_r1", "n2_r1"):
+        n = int(case[1])
+        return n, 1, [rng.random((1, n, n)) < 0.6 for _ in range(8)]
+    raise ValueError(case)
 
 
 def run_both(name, n, r, tensors):
@@ -73,10 +104,29 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("name", COVERED)
     @given(run=batch_runs())
     @settings(max_examples=30, deadline=None)
+    @example(run=edge_tensors("all_false"))
+    @example(run=edge_tensors("all_true"))
+    @example(run=edge_tensors("column_of_matched_inputs"))
+    @example(run=edge_tensors("matched_diagonal_requester"))
+    @example(run=edge_tensors("n1_r1"))
+    @example(run=edge_tensors("n2_r1"))
     def test_schedules_and_state_bit_identical(self, name, run):
         n, r, tensors = run
         kernel, serials = run_both(name, n, r, tensors)
         assert_state_matches(name, kernel, serials)
+
+    def test_edge_requests_hit_the_sentinel_and_the_matched_diagonal(self):
+        # The hand-built cases do what their comments say (first cycle).
+        n, r, tensors = edge_tensors("column_of_matched_inputs")
+        batch = make_columnar_kernel("lcf_central", n, r).schedule_batch(
+            np.ascontiguousarray(tensors[0].transpose(0, 2, 1))
+        )
+        assert batch.tolist() == [[0, -1, -1], [0, -1, 2]]
+        n, r, tensors = edge_tensors("matched_diagonal_requester")
+        batch = make_columnar_kernel("lcf_central_rr", n, r).schedule_batch(
+            np.ascontiguousarray(tensors[0].transpose(0, 2, 1))
+        )
+        assert batch.tolist() == [[-1, 0, 1]] * 2
 
     @pytest.mark.parametrize("name", COVERED)
     @pytest.mark.parametrize("n", [63, 64, 65])
@@ -137,6 +187,42 @@ class TestRegistry:
             )
             for rep in range(2):
                 assert np.array_equal(batch[rep], serials[rep].schedule(requests[rep]))
+
+    def test_lcf_key_space_bound(self, monkeypatch):
+        # The int32 keys hold while n * (n + 1) < _SENTINEL, and every
+        # class of key keeps its side of the sentinel at that width.
+        m = ColumnarLCFCentral.max_ports
+        assert m * (m + 1) < kernels_mod._SENTINEL <= (m + 1) * (m + 2)
+        assert kernels_mod._NO_REQUEST + kernels_mod._DIAGONAL > kernels_mod._SENTINEL
+        assert (
+            kernels_mod._MATCHED - m * m + kernels_mod._DIAGONAL
+            > kernels_mod._SENTINEL
+        )
+        assert kernels_mod._NO_REQUEST + kernels_mod._MATCHED + m < 2**31
+        for name in ("lcf_central", "lcf_central_rr"):
+            assert has_columnar_kernel(name, m)
+            assert not has_columnar_kernel(name, m + 1)
+        assert has_columnar_kernel("islip", 10 * m)
+        # The check comes before any buffer: shown on a lowered bound,
+        # so nothing that wide is ever allocated here.
+        monkeypatch.setattr(ColumnarLCFCentral, "max_ports", 4)
+        assert not has_columnar_kernel("lcf_central_rr", 5)
+        with pytest.raises(ValueError, match="at most 4 ports"):
+            make_columnar_kernel("lcf_central_rr", 5, 1)
+        make_columnar_kernel("lcf_central_rr", 4, 1)
+
+    @pytest.mark.parametrize("name", COVERED)
+    def test_buffer_bytes_count_the_kernels_arrays(self, name):
+        # What a kernel reports before it is built is what it then
+        # holds in arrays that grow with R * n**2.
+        n, r = 12, 5
+        kernel = make_columnar_kernel(name, n, r)
+        held = sum(
+            value.nbytes
+            for value in vars(kernel).values()
+            if isinstance(value, np.ndarray) and value.size >= r * n * n
+        )
+        assert columnar_kernel_bytes(name, n, r) == held
 
     def test_chain_table_is_shared_and_frozen(self):
         table = chain_table(5)

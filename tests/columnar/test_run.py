@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import repro.columnar.run as run_mod
+from repro.columnar.kernels import ColumnarLCFCentral
 from repro.columnar.run import columnar_supported, run_replicates
 from repro.sim.config import SimConfig
 from repro.sim.simulator import run_simulation
@@ -66,6 +67,15 @@ class TestCrossover:
         assert not run_mod.runs_columnar("pim", 64)
         assert not run_mod.runs_columnar("islip", 64, faults={"request_loss": 0.5})
 
+    def test_widths_beyond_the_kernel_keys_never_batch(self):
+        widest = ColumnarLCFCentral.max_ports
+        for name in ("lcf_central", "lcf_central_rr"):
+            assert run_mod.runs_columnar(name, 32, n_ports=widest)
+            assert not run_mod.runs_columnar(name, 32, n_ports=widest + 1)
+            ok, reason = columnar_supported(name, n_ports=widest + 1)
+            assert not ok and "beyond" in reason
+        assert run_mod.runs_columnar("islip", 32, n_ports=widest + 1)
+
 
 class TestStrategyInvisibility:
     def test_columnar_equals_plain_serial_entry_point(self, crossover, monkeypatch):
@@ -106,6 +116,24 @@ class TestStrategyInvisibility:
 
         for w, g in zip(want, got):
             assert_results_bit_identical(w, g, "pim fallback")
+
+    def test_width_beyond_the_kernel_keys_runs_serially(self, monkeypatch, crossover):
+        # A lowered bound stands in for a width past the int32 keys: the
+        # block never reaches the engine and equals the serial runs.
+        crossover(2)
+        monkeypatch.setattr(ColumnarLCFCentral, "max_ports", SHORT.n_ports - 1)
+
+        def boom(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("ColumnarEngine used beyond the kernel's keys")
+
+        monkeypatch.setattr(run_mod, "ColumnarEngine", boom)
+        seeds = [1, 2, 3]
+        got = run_replicates(SHORT, "lcf_central_rr", 0.9, seeds=seeds)
+        want = serial_results(SHORT, "lcf_central_rr", 0.9, seeds)
+        from tests.columnar.conftest import assert_results_bit_identical
+
+        for w, g in zip(want, got):
+            assert_results_bit_identical(w, g, "beyond the key space")
 
     def test_instrumented_block_falls_back(self, monkeypatch, crossover):
         crossover(1)

@@ -12,6 +12,7 @@ crossover; the ``crossover`` fixture lowers it for the blocked runs.
 import pytest
 
 import repro.sweep.runner as runner_mod
+from repro.columnar.kernels import ColumnarLCFCentral
 from repro.sim.config import SimConfig
 from repro.sweep import ParallelRunner, ResultCache, SweepSpec, point_key
 from tests.columnar.conftest import assert_results_bit_identical
@@ -154,3 +155,24 @@ class TestDispatch:
             checkpointed.replicates("lcf_central_rr", 0.9),
         ):
             assert_results_bit_identical(w, g, "checkpointed per point")
+
+    def test_width_beyond_the_kernel_keys_dispatches_per_point(
+        self, monkeypatch, crossover, blocks
+    ):
+        # The runner asks runs_columnar with the spec's width: past the
+        # kernel's keys (a lowered bound here) cells never form blocks.
+        crossover(1)
+        spec = quick_spec(schedulers=("lcf_central_rr",), loads=(0.9,))
+        blocked = ParallelRunner(workers=1).run(spec)
+        assert blocks == [[3, 4, 5]]
+        blocks.clear()
+        monkeypatch.setattr(
+            ColumnarLCFCentral, "max_ports", spec.config.n_ports - 1
+        )
+        per_point = ParallelRunner(workers=1).run(spec)
+        assert blocks == []
+        for w, g in zip(
+            blocked.replicates("lcf_central_rr", 0.9),
+            per_point.replicates("lcf_central_rr", 0.9),
+        ):
+            assert_results_bit_identical(w, g, "beyond the key space")
