@@ -55,7 +55,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--repeats", type=int, default=3,
-        help="timing windows per cell (median is reported)",
+        help="timing windows per side of a cell, the sides alternating "
+             "(the fastest is reported)",
     )
     args = parser.parse_args(argv)
 

@@ -28,6 +28,10 @@ ITERATIVE_NAMES = frozenset({"pim", "lcf_dist", "lcf_dist_rr", "islip"})
 #: Names that require a dedicated switch model rather than a VOQ crossbar.
 SPECIAL_SWITCH_NAMES = frozenset({"fifo", "outbuf"})
 
+#: The Section 5 protocol: under message faults it plays the control
+#: channel itself (its ``injector``), per request, grant and accept.
+LOSSY_PROTOCOL_NAMES = frozenset({"lcf_dist", "lcf_dist_rr"})
+
 _FACTORIES: dict[str, Callable[..., Scheduler]] = {
     "lcf_central": lambda n, **kw: LCFCentral(n),
     "lcf_central_rr": lambda n, **kw: LCFCentralRR(n),

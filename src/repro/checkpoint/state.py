@@ -34,8 +34,9 @@ tag decodes to whatever the fresh twin already holds, so resume-side
 wiring (a new tracer, a rebuilt injector) survives restoration.
 
 Attribute names in :data:`SKIP_ATTRS` are never captured: they either
-point at wiring (``tracer``/``metrics``/``injector``, the
-``decision_tally`` a metered switch attaches to its LCF scheduler) or
+point at wiring (``tracer``/``metrics``/``injector``, the crossbar's
+``request_loss`` handle, the ``decision_tally`` a metered switch
+attaches to its LCF scheduler) or
 at per-slot transients regenerated before anyone reads them
 (``last_trace``).
 
@@ -80,8 +81,8 @@ TAG = "__repro__"
 #: wiring, rebuilt-on-resume components, and per-slot transients.
 SKIP_ATTRS = frozenset(
     {
-        "tracer", "metrics", "injector", "config", "policy", "last_trace",
-        "decision_tally",
+        "tracer", "metrics", "injector", "request_loss", "config", "policy",
+        "last_trace", "decision_tally",
     }
 )
 

@@ -122,10 +122,10 @@ def resume_fabric(
             "expected 'fabric'"
         )
     run = payload["run"]
+    for _, _, plan in run["spec"].get("stage_faults", ()):
+        rebuild_fault_plan(path, _deep_tuple(plan))
     spec = _spec_from_wire(run["spec"])
     shards = run["shards"]
-    for _, _, plan in spec.stage_faults:
-        rebuild_fault_plan(path, plan)
     engines = [
         FabricShard(
             spec,

@@ -735,8 +735,10 @@ def _drive_blocks(
 ) -> list[dict]:
     """Advance inline engines block by block, checkpointing at barriers.
 
-    The checkpoint-capable drive loop shared by `run_fabric` and
-    `repro.fabric.checkpoint.resume_fabric`. Blocks are capped so a
+    The drive loop of `run_fabric`'s inline shards and checkpointed
+    runs, and of `repro.fabric.checkpoint.resume_fabric`. Without a
+    ``checkpoint_path`` it only exchanges boundary messages at each
+    barrier. Blocks are capped so a
     barrier lands exactly on every ``checkpoint_every`` multiple and on
     ``stop_at_slot``; a checkpoint is written at each cadence barrier
     (and at the stop slot) but never at run completion.
@@ -878,30 +880,7 @@ def run_fabric(
         offline_routing=offline_routing,
     )
 
-    if checkpoint_path is not None:
-        from repro.fabric.checkpoint import make_fabric_run_spec
-
-        engines = [
-            FabricShard(spec, shard_id, shards, **shard_kwargs)
-            for shard_id in range(shards)
-        ]
-        run_spec = make_fabric_run_spec(
-            spec=spec,
-            shards=shards,
-            collect_percentiles=collect_percentiles,
-            collect_flows=collect_flows,
-            tracing=tracing,
-            checkpoint_every=checkpoint_every,
-        )
-        harvests = _drive_blocks(
-            spec,
-            engines,
-            run_spec=run_spec,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            stop_at_slot=stop_at_slot,
-        )
-    elif shards == 1:
+    if checkpoint_path is None and shards == 1:
         shard = FabricShard(spec, 0, 1, **shard_kwargs)
         if metrics is not None:
             _attach_metrics(metrics, shard)
@@ -917,45 +896,35 @@ def run_fabric(
 
         harvests = run_sharded_process(spec, shards, shard_kwargs)
     else:
-        harvests = _run_sharded_inline(spec, shards, shard_kwargs)
+        # Inline shards exchanging at every block barrier (the cheap
+        # harness the invariance property tests drive), checkpointing
+        # at barriers when asked.
+        engines = [
+            FabricShard(spec, shard_id, shards, **shard_kwargs)
+            for shard_id in range(shards)
+        ]
+        run_spec = None
+        if checkpoint_path is not None:
+            from repro.fabric.checkpoint import make_fabric_run_spec
+
+            run_spec = make_fabric_run_spec(
+                spec=spec,
+                shards=shards,
+                collect_percentiles=collect_percentiles,
+                collect_flows=collect_flows,
+                tracing=tracing,
+                checkpoint_every=checkpoint_every,
+            )
+        harvests = _drive_blocks(
+            spec,
+            engines,
+            run_spec=run_spec,
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every,
+            stop_at_slot=stop_at_slot,
+        )
 
     return _merge_harvests(spec, harvests, tracer, collect_percentiles)
-
-
-def _run_sharded_inline(
-    spec: FabricSpec, shards: int, shard_kwargs: dict
-) -> list[dict]:
-    """All shards in one process, exchanging at every block barrier —
-    the cheap harness the invariance property tests drive."""
-    engines = [
-        FabricShard(spec, shard_id, shards, **shard_kwargs)
-        for shard_id in range(shards)
-    ]
-    owner = {
-        coord: shard_id
-        for shard_id, engine in enumerate(engines)
-        for coord in engine.owned
-    }
-    inbound_d: list[list[tuple]] = [[] for _ in range(shards)]
-    inbound_c: list[list[tuple]] = [[] for _ in range(shards)]
-    total_slots = spec.config.total_slots
-    block = spec.link_delay
-    slot = 0
-    while slot < total_slots:
-        n_slots = min(block, total_slots - slot)
-        next_d: list[list[tuple]] = [[] for _ in range(shards)]
-        next_c: list[list[tuple]] = [[] for _ in range(shards)]
-        for shard_id, engine in enumerate(engines):
-            out_d, out_c = engine.run_block(
-                slot, n_slots, inbound_d[shard_id], inbound_c[shard_id]
-            )
-            for message in out_d:
-                next_d[owner[(message[1], message[2])]].append(message)
-            for message in out_c:
-                next_c[owner[(message[1], message[2])]].append(message)
-        inbound_d, inbound_c = next_d, next_c
-        slot += n_slots
-    return [engine.harvest() for engine in engines]
 
 
 def _attach_metrics(metrics, shard: FabricShard) -> None:

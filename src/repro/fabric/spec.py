@@ -26,6 +26,8 @@ import json
 from dataclasses import dataclass, field, replace
 
 from repro.baselines.registry import available_schedulers
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.sim.config import SimConfig
 
 __all__ = ["FabricSpec", "ROUTING_POLICIES", "UNSUPPORTED_FABRIC_SCHEDULERS"]
@@ -137,6 +139,15 @@ class FabricSpec:
                         f"{what} names switch {index} of stage {stage}, "
                         f"which has {counts[stage]} switches"
                     )
+        for stage, index, plan in self.stage_faults:
+            # Judged as the stage switch's injector will judge it.
+            try:
+                FaultInjector(FaultPlan.from_spec(plan), self.stage_sizes[stage])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"stage_faults for switch {self.switch_label(stage, index)}: "
+                    f"{exc}"
+                ) from None
 
     # -- derived topology ---------------------------------------------------
 

@@ -6,8 +6,8 @@ scheduler degrade when the control plane or the ports fail? Two axes:
 * **message loss** — uniform per-message request/grant/accept loss
   probability (:meth:`repro.faults.FaultPlan.message_loss`), swept from
   0 upward. The distributed LCF schedulers play their lossy protocol;
-  every other scheduler degrades through the generic request-loss
-  filter, so the whole registry gets a curve.
+  for every other scheduler the switch loses requests on their way in,
+  so the whole registry gets a curve.
 * **port availability** — duty-cycled port outages averaging a target
   availability (:meth:`repro.faults.FaultPlan.availability`), swept
   from 1.0 downward.

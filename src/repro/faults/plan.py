@@ -166,8 +166,8 @@ class FaultPlan:
 
     Message-loss probabilities apply to the distributed schedulers'
     request/grant/accept control plane per *individual message* (every
-    other scheduler sees request loss only, as a thinned request
-    matrix — see :mod:`repro.faults.channel`).
+    other scheduler sees request loss only: the crossbar thins its
+    request view — see :mod:`repro.sim.crossbar`).
     """
 
     port_down: tuple[PortDownInterval, ...] = ()

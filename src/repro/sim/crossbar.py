@@ -18,11 +18,11 @@ Latency of a packet = departure slot − generation slot + 1.
 One slot body: :meth:`InputQueuedSwitch.run_slots` runs these stages
 for a block of slots on the queues' deques and the request bitmasks,
 and :meth:`InputQueuedSwitch.step` is that body run for one slot. Every
-optional stage — fault injector, admission control, adapter, output
-gate, forward sink, tracer, metrics — is bound once per block; absent,
-it costs one local test per slot or per packet, and results are
-bit-identical to an uninstrumented run (property-tested). A scheduler
-whose class defines ``schedule_masks`` schedules straight off the
+optional stage — fault injector, request loss, admission control,
+adapter, output gate, forward sink, tracer, metrics — is bound once per
+block; absent, it costs one local test per slot or per packet, and
+results are bit-identical to an uninstrumented run (property-tested). A
+scheduler with a ``schedule_masks`` method schedules straight off the
 masks; reference schedulers get the unpacked request matrix and
 weight-based ones (LQF/OCF) their weights.
 
@@ -54,6 +54,14 @@ the fabric gate silently drops grants over faulted crosspoints
 (counted in ``masked_grants``), and the adapter observes which
 proposed grants survived — the feedback loop reactive scheduling
 learns from.
+
+Request loss: a plan's ``request_loss`` drops each request (i, j) on
+its way into the scheduler when ``injector.message_survives(slot, 0,
+REQUEST, i, j)`` says so — the last thinning of the request view, after
+the fault mask, the adapter and the output gate. A scheduler that plays
+the control channel itself (the Section 5 protocol, which holds the
+injector and loses each request, grant and accept where it is sent) is
+left alone. Grant and accept loss belong to that protocol only.
 """
 
 from __future__ import annotations
@@ -64,7 +72,7 @@ from repro.core.base import DecisionTally, Scheduler
 from repro.core.lcf_central import StepTrace
 from repro.core.lcf_dist import IterationTrace
 from repro.fastpath.bitops import pack_cols, pack_rows, unpack_rows
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import REQUEST, FaultInjector
 from repro.obs import events as ev
 from repro.obs.estimators import DelayHistogram, RateEstimator
 from repro.obs.metrics import MetricsRegistry
@@ -155,10 +163,19 @@ class InputQueuedSwitch:
         #: slot (kept for the tracer's ``rr_override`` event).
         self._pending_rr: tuple[int, int] | None = None
 
-        # A plan with no topology faults resolves to no injector here —
-        # the switch only consumes port/link outages (message faults are
-        # the scheduler's, see repro.faults.channel), so a null or
-        # message-only plan is bit-identical to running uninstrumented.
+        #: The injector whose request loss the body applies: wiring,
+        #: never checkpointed. None without request loss, and for a
+        #: scheduler that holds an injector of its own.
+        self.request_loss = (
+            injector
+            if injector is not None
+            and injector.plan.request_loss > 0.0
+            and getattr(scheduler, "injector", None) is None
+            else None
+        )
+        # The topology hooks: a plan with no port or link outage resolves
+        # to no injector here, so a null or message-only plan costs them
+        # nothing.
         if injector is not None and not injector.plan.has_topology_faults:
             injector = None
         self.injector = injector
@@ -229,6 +246,7 @@ class InputQueuedSwitch:
         if (
             self._observing
             or self.injector is not None
+            or self.request_loss is not None
             or self.adapter is not None
             or self.output_gate is not None
             or self.forward_sink is not None
@@ -295,13 +313,10 @@ class InputQueuedSwitch:
         live delay histograms, and its matchings feed the rate
         estimator, once per block. A hook
         that thins requests makes the scheduler see masked copies of
-        the masks. A scheduler whose class defines ``schedule_masks``
-        runs on the masks; the others get the unpacked request matrix
-        (``schedule``) or their weights (``schedule_weighted``). The
-        check is on the class because wrappers such as
-        :class:`~repro.faults.channel.RequestLossFilter` forward unknown
-        attributes to their inner scheduler, and a forwarded
-        ``schedule_masks`` would skip the wrapper's own filtering.
+        the masks; request loss thins last. A scheduler with a
+        ``schedule_masks`` method runs on the masks; the others get the
+        unpacked request matrix (``schedule``) or their weights
+        (``schedule_weighted``).
 
         ``measuring`` must not change mid-block — the simulation driver
         splits its blocks at the warmup boundary.
@@ -317,12 +332,12 @@ class InputQueuedSwitch:
         scheduler = self.scheduler
         weight_kind = getattr(scheduler, "weight_kind", None)
         kernel = None
-        if weight_kind is None and callable(
-            getattr(type(scheduler), "schedule_masks", None)
-        ):
-            kernel = scheduler.schedule_masks
+        if weight_kind is None:
+            kernel = getattr(scheduler, "schedule_masks", None)
         service = self.service if measuring else None
         injector, admission = self.injector, self.admission
+        loss = self.request_loss
+        survives = loss.message_survives if loss is not None else None
         adapter, gate, sink = self.adapter, self.output_gate, self.forward_sink
         thinning = injector is not None or adapter is not None or gate is not None
         tracer = self.tracer
@@ -461,6 +476,20 @@ class InputQueuedSwitch:
                 self._pending_rr = (
                     (rr_i, rr_j) if seen_rows[rr_i] >> rr_j & 1 else None
                 )
+            if survives is not None:
+                # Requests lost on their way into the scheduler: neither
+                # the trace's request counts nor the RR read above see
+                # this. The kernels re-derive the columns.
+                delivered = []
+                for i, row in enumerate(seen_rows):
+                    rest = row
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        if not survives(slot, 0, REQUEST, i, low.bit_length() - 1):
+                            row ^= low
+                    delivered.append(row)
+                seen_rows, seen_cols = delivered, None
             if kernel is not None:
                 grants = kernel(seen_rows, seen_cols)
             elif weight_kind is None:

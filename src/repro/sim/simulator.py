@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baselines.registry import make_scheduler
+from repro.baselines.registry import LOSSY_PROTOCOL_NAMES, make_scheduler
 from repro.core.base import IterativeScheduler, Scheduler
 from repro.fastpath.registry import make_fast_scheduler, uses_fast_kernel
 from repro.faults.injector import FaultInjector
@@ -119,22 +119,25 @@ def make_crossbar_scheduler(
 ) -> Scheduler:
     """The scheduler every crossbar simulator builds for a registry name.
 
-    An injector with message faults gets the degraded-mode scheduler of
-    :func:`repro.faults.channel.make_lossy_scheduler`; otherwise names
-    with a :mod:`repro.fastpath` kernel get that bitset kernel and every
-    other name its reference implementation. The kernels are
+    Names with a :mod:`repro.fastpath` kernel get that bitset kernel and
+    every other name its reference implementation. The kernels are
     bit-identical to the references (property-tested in
     ``tests/fastpath/``), so which one runs is never the caller's
-    choice.
+    choice. Under an injector with message faults the Section 5
+    protocol (:data:`~repro.baselines.registry.LOSSY_PROTOCOL_NAMES`)
+    holds the injector and loses each request, grant and accept where
+    it is sent; every other scheduler's requests are lost in the switch
+    (:class:`~repro.sim.crossbar.InputQueuedSwitch`).
     """
-    if injector is not None and injector.has_message_faults:
-        from repro.faults.channel import make_lossy_scheduler
-
-        return make_lossy_scheduler(
-            name, n, injector, iterations=iterations, seed=seed
-        )
     maker = make_fast_scheduler if uses_fast_kernel(name) else make_scheduler
-    return maker(name, n, iterations=iterations, seed=seed)
+    scheduler = maker(name, n, iterations=iterations, seed=seed)
+    if (
+        name in LOSSY_PROTOCOL_NAMES
+        and injector is not None
+        and injector.has_message_faults
+    ):
+        scheduler.injector = injector
+    return scheduler
 
 
 def build_switch(
@@ -154,12 +157,12 @@ def build_switch(
     ``fifo`` and ``outbuf`` switch models have no slot pipeline to
     trace, so instrumentation is ignored for them.
 
-    ``injector`` attaches a fault-injection layer: topology faults are
-    enforced by the crossbar, and message-loss faults swap the scheduler
-    for its :mod:`repro.faults.channel` degraded-mode counterpart. The
-    dedicated switch models have neither a control plane nor per-port
-    request paths, so faults there are a configuration error rather than
-    a silently perfect run.
+    ``injector`` attaches a fault-injection layer: the crossbar enforces
+    topology faults and request loss, and the Section 5 protocol plays
+    its own lossy control channel (see :func:`make_crossbar_scheduler`).
+    The dedicated switch models have neither a control plane nor
+    per-port request paths, so faults there are a configuration error
+    rather than a silently perfect run.
 
     ``adapter`` attaches a fault-reaction layer (:mod:`repro.adapt`
     :class:`~repro.adapt.adapter.SchedulingAdapter`), switching the

@@ -174,8 +174,20 @@ class TestRoundtripFastTier:
 
         assert render_openmetrics(m_resumed) == render_openmetrics(m_straight)
 
-    @pytest.mark.parametrize("scheduler", ["lcf_central_rr", "lcf_dist_rr"])
-    def test_fast_loop_metrics_resume_mid_block(self, scheduler, tmp_path):
+    @pytest.mark.parametrize(
+        "scheduler, faults",
+        [
+            pytest.param("lcf_central_rr", None, id="lcf_central_rr"),
+            pytest.param("lcf_dist_rr", None, id="lcf_dist_rr"),
+            # The switch loses the kernel's requests, keyed by the slot:
+            # a resume carries no loss state.
+            pytest.param(
+                "lcf_central_rr", (("request_loss", 0.3),),
+                id="lcf_central_rr-request_loss",
+            ),
+        ],
+    )
+    def test_fast_loop_metrics_resume_mid_block(self, scheduler, faults, tmp_path):
         # A metrics-only fast run tallies per driver block (64 slots);
         # pausing at slot 100 splits a block, and the resumed run must
         # still end with the uninterrupted run's snapshot and result.
@@ -183,12 +195,12 @@ class TestRoundtripFastTier:
         m_straight = MetricsRegistry()
         straight = run_simulation(
             config, scheduler, 0.9, metrics=m_straight,
-            collect_percentiles=True,
+            collect_percentiles=True, faults=faults,
         )
         ckpt = tmp_path / "run.ckpt"
         paused = MetricsRegistry()
         run_simulation(
-            config, scheduler, 0.9, metrics=paused,
+            config, scheduler, 0.9, metrics=paused, faults=faults,
             collect_percentiles=True, checkpoint_path=ckpt, stop_at_slot=100,
         )
         assert paused.counter("slots").value == 100

@@ -20,6 +20,15 @@ loop, to the uninterrupted run's row.
 Version-4 files written while ``BernoulliUniform`` had a ``batch`` knob
 carry its ``batch`` and ``_pending`` fields; resume skips both. A file
 whose traffic arguments no longer build a pattern is refused.
+
+``checkpoint_v4_loss_filter.json`` pauses a lossy ``lcf_central_rr`` run
+(n=4, seed 3, load 0.9, request loss 0.3, 10+40 slots, at slot 30)
+written while request loss was a wrapper around the scheduler: the
+switch's scheduler is a ``FastRequestLossFilter`` holding the kernel.
+The switch loses requests itself now and its scheduler is the bare
+kernel, which has nothing to restore the wrapped state into, so the
+file is refused with :class:`CheckpointError` and ``lcf-trace
+--resume`` exits 2 with one line.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ from repro.sim.simulator import run_simulation
 DATA = Path(__file__).resolve().parent.parent / "data"
 DELAY = DATA / "checkpoint_v3_delay.json"
 WFRONT = DATA / "checkpoint_v4_wfront.json"
+LOSS_FILTER = DATA / "checkpoint_v4_loss_filter.json"
 
 CHECKPOINT_CLIS = ["repro.obs.cli", "repro.faults.cli", "repro.adapt.cli"]
 
@@ -143,3 +153,22 @@ def test_file_whose_traffic_no_longer_builds_is_rejected(tmp_path):
     save_checkpoint(path, payload)
     with pytest.raises(CheckpointError, match="traffic this version cannot rebuild"):
         resume_simulation(path)
+
+
+def test_loss_filter_file_is_refused(tmp_path):
+    stored = load_checkpoint(LOSS_FILTER)["state"]["switch"]["scheduler"]
+    assert stored["cls"] == "FastRequestLossFilter"
+    with pytest.raises(CheckpointError, match="nothing to restore it into"):
+        resume_simulation(LOSS_FILTER, checkpoint_path=tmp_path / "resumed.ckpt")
+
+
+def test_loss_filter_file_exits_2_with_one_line(tmp_path, capsys):
+    from repro.obs import cli
+
+    path = tmp_path / "lossy.ckpt"
+    path.write_bytes(LOSS_FILTER.read_bytes())
+    assert cli.main(["--resume", str(path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("lcf-trace: ") and len(err.splitlines()) == 1
+    assert path.read_bytes() == LOSS_FILTER.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lossy.ckpt"]

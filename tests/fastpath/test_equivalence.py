@@ -130,8 +130,8 @@ class TestKernelEquivalence:
         # including the stale sender-side nrq advisory under loss.
         # ``width`` None draws small switches; the fixed widths straddle
         # the 64-bit word, where a lossy kernel joins its word tuples.
-        from repro.faults.channel import make_lossy_scheduler
         from repro.faults.injector import FaultInjector
+        from repro.sim.simulator import make_crossbar_scheduler
 
         if width is None:
             n, matrices = data.draw(matrix_runs(min_n=2, max_n=6, max_len=6))
@@ -147,10 +147,12 @@ class TestKernelEquivalence:
             accept_loss=accept_loss,
         )
         with _reference_kernels():
-            reference = make_lossy_scheduler(
-                name, n, FaultInjector(plan, n, seed=seed)
+            reference = make_crossbar_scheduler(
+                name, n, injector=FaultInjector(plan, n, seed=seed)
             )
-        fast = make_lossy_scheduler(name, n, FaultInjector(plan, n, seed=seed))
+        fast = make_crossbar_scheduler(
+            name, n, injector=FaultInjector(plan, n, seed=seed)
+        )
         reference.record_trace = fast.record_trace = True
         for matrix in matrices:
             assert np.array_equal(reference.schedule(matrix), fast.schedule(matrix))

@@ -1,11 +1,10 @@
 """The switch's one slot body on the request bitmasks.
 
-Dispatch (a scheduler whose class defines ``schedule_masks`` runs on the
+Dispatch (a scheduler with a ``schedule_masks`` method runs on the
 masks, every other one on the request matrix or its weights, whatever
 hooks are attached), bit-identity of whole runs against the reference
-kernels, and the degraded-mode wrapper interaction: attribute
-forwarding must never smuggle an unfiltered ``schedule_masks`` past a
-loss filter.
+kernels, and request loss, which the switch applies to every entry
+point alike.
 """
 
 import numpy as np
@@ -16,7 +15,6 @@ import repro.sim.simulator as simulator
 from repro.adapt import AdaptiveLCF
 from repro.baselines.registry import make_scheduler
 from repro.faults import FaultInjector, FaultPlan, PortDownInterval
-from repro.faults.channel import FastRequestLossFilter, RequestLossFilter
 from repro.fastpath.lcf import FastLCFCentralRR
 from repro.fastpath.registry import _reference_kernels, fast_schedulers
 from repro.obs.metrics import MetricsRegistry
@@ -109,8 +107,9 @@ class TestEngagement:
             )},
             lambda: {"adapter": AdaptiveLCF()},
             lambda: {"admission": AdmissionController(2, 4)},
+            lambda: {"injector": FaultInjector(FaultPlan(request_loss=0.3), 4, seed=1)},
         ],
-        ids=["tracer", "topology-faults", "adapter", "admission"],
+        ids=["tracer", "topology-faults", "adapter", "admission", "request-loss"],
     )
     def test_hooks_keep_the_kernel_on_its_masks(self, hooks):
         switch = InputQueuedSwitch(CONFIG, FastLCFCentralRR(4), **hooks())
@@ -120,40 +119,39 @@ class TestEngagement:
         switch = InputQueuedSwitch(CONFIG, make_scheduler("lqf", 4))
         assert entry_points(switch) == {"schedule_weighted"}
 
-    def test_forwarded_schedule_masks_does_not_fool_the_probe(self):
-        # The plain RequestLossFilter forwards unknown attributes to the
-        # wrapped scheduler, so instances *appear* to have
-        # schedule_masks — scheduling through that forwarding would skip
-        # the loss model entirely. The dispatch is on the class, so the
-        # wrapper around a bitset kernel runs its own filter and matches
-        # the same wrapper around the reference scheduler.
-        def row(scheduler):
-            switch = InputQueuedSwitch(CONFIG, scheduler)
-            simulator._drive(CONFIG, switch, BernoulliUniform(4, 0.9, seed=9), None)
-            result = simulator._package_result(CONFIG, "lcf", 0.9, switch, True)
-            return result.row()
+    @pytest.mark.parametrize("config", [CONFIG, WIDE], ids=["n4", "n80"])
+    def test_request_loss_thins_every_entry_point_alike(self, config):
+        # The switch loses requests before any scheduler sees them: the
+        # kernel on its masks, the reference on its matrix and a weight
+        # scheduler on its weights all schedule only what survived.
+        n = config.n_ports
 
-        def injector():
-            return FaultInjector(FaultPlan(request_loss=0.3), 4, seed=1)
+        def run(scheduler, loss=0.3):
+            injector = FaultInjector(FaultPlan(request_loss=loss), n, seed=1)
+            switch = InputQueuedSwitch(config, scheduler, injector=injector)
+            simulator._drive(config, switch, BernoulliUniform(n, 0.9, seed=9), None)
+            result = simulator._package_result(config, "lcf", 0.9, switch, True)
+            return result.row(), switch
 
-        wrapped = RequestLossFilter(FastLCFCentralRR(4), injector())
-        assert callable(wrapped.schedule_masks)  # forwarding is live...
-        reference = RequestLossFilter(make_scheduler("lcf_central_rr", 4), injector())
-        assert row(wrapped) == row(reference)  # ...ignored
-        assert row(wrapped) != row(FastLCFCentralRR(4))
+        kernel, switch = run(FastLCFCentralRR(n))
+        assert switch.request_loss is not None
+        assert kernel == run(make_scheduler("lcf_central_rr", n))[0]
+        assert kernel != run(FastLCFCentralRR(n), loss=0.0)[0]
+        lqf, _ = run(make_scheduler("lqf", n))
+        assert lqf != run(make_scheduler("lqf", n), loss=0.0)[0]
 
-    def test_fast_loss_filter_takes_the_fast_loop_with_its_own_kernel(self):
-        # FastRequestLossFilter defines schedule_masks on the class, so
-        # the switch schedules *through* the loss model on the masks,
-        # never around it — at one machine word and past it.
+    def test_a_scheduler_holding_the_injector_keeps_its_own_channel(self):
+        # The Section 5 protocol loses its own requests; the switch must
+        # not lose them a second time.
         for config in (CONFIG, WIDE):
             n = config.n_ports
             switch = build_switch(
                 config,
-                "lcf_central_rr",
+                "lcf_dist_rr",
                 injector=FaultInjector(FaultPlan(request_loss=0.3), n, seed=1),
             )
-            assert isinstance(switch.scheduler, FastRequestLossFilter), n
+            assert switch.scheduler.injector is not None, n
+            assert switch.request_loss is None, n
             assert entry_points(switch) == {"schedule_masks"}, n
 
 

@@ -27,7 +27,6 @@ from repro.core.lcf_dist import IterationTrace, LCFDistributed, LCFDistributedRR
 from repro.fastpath.lcf import FastLCFCentralRR, FastLCFCentralVariant
 from repro.fastpath.lcf_dist import FastLCFDistributed, FastLCFDistributedRR
 from repro.faults import FaultInjector, FaultPlan
-from repro.faults.channel import RequestLossFilter
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import MatchingQualityProbe
 from repro.obs.serve import render_openmetrics
@@ -225,12 +224,14 @@ def test_drain_returns_the_counts_and_restarts():
 # -- no records without a tracer --------------------------------------
 
 
-def _metered_switch(scheduler, tracer=None, n: int = 8):
+def _metered_switch(scheduler, tracer=None, n: int = 8, injector=None):
     """A metered switch run for 200 slots at load 0.9; returns it and its
     registry."""
     config = SimConfig(n_ports=n, warmup_slots=20, measure_slots=180, seed=3)
     metrics = MetricsRegistry()
-    switch = InputQueuedSwitch(config, scheduler, metrics=metrics, tracer=tracer)
+    switch = InputQueuedSwitch(
+        config, scheduler, metrics=metrics, tracer=tracer, injector=injector
+    )
     _drive(config, switch, make_traffic("bernoulli", n, 0.9, seed=3), None)
     return switch, metrics
 
@@ -249,21 +250,28 @@ def test_metrics_only_run_keeps_no_records(name):
     assert "decision_tally" not in repr(snapshot_state(switch))
 
 
-@pytest.mark.parametrize("wrapper", ["probe", "loss-filter"])
-def test_wrappers_forward_the_tally(wrapper):
-    def wrap(inner):
-        if wrapper == "probe":
-            return MatchingQualityProbe(inner)
-        injector = FaultInjector(FaultPlan(request_loss=0.3), 8, seed=3)
-        return RequestLossFilter(inner, injector)
-
+def _assert_tally_reaches_the_kernel(wrap, injector=None):
     inner = FastLCFCentralRR(8)
-    switch, metrics = _metered_switch(wrap(inner))
+    switch, metrics = _metered_switch(wrap(inner), injector=injector)
     assert inner.decision_tally is switch.decision_tally
     assert inner.record_trace is False
     assert metrics.counter("rr_overrides").value > 0
     # The same run with a tracer attached reads the same registry.
     traced_inner = FastLCFCentralRR(8)
-    _, traced_metrics = _metered_switch(wrap(traced_inner), RingTracer(1 << 16))
+    _, traced_metrics = _metered_switch(
+        wrap(traced_inner), RingTracer(1 << 16), injector=injector
+    )
     assert traced_inner.record_trace is True
     assert metrics.snapshot() == traced_metrics.snapshot()
+
+
+@pytest.mark.parametrize("wrapper", [MatchingQualityProbe], ids=["probe"])
+def test_wrappers_forward_the_tally(wrapper):
+    _assert_tally_reaches_the_kernel(wrapper)
+
+
+def test_request_loss_keeps_the_tally_on_the_kernel():
+    # Request loss is the switch's, so the kernel it thins for is the
+    # scheduler the tally and the tracer attach to.
+    injector = FaultInjector(FaultPlan(request_loss=0.3), 8, seed=3)
+    _assert_tally_reaches_the_kernel(lambda inner: inner, injector)

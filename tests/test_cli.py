@@ -85,6 +85,8 @@ CRASHES = [
     ("lcf-trace", "--admission 50:10"),
     ("lcf-trace", "--checkpoint F --checkpoint-every 0"),
     ("lcf-fabric", "--single 4 --traffic nope"),
+    ("lcf-fabric", "--fault 1.0:9:0:10"),
+    ("lcf-fabric", "--fault 0.0:2:10:5"),
     ("lcf-sweep", "--workers 0"),
     ("lcf-sweep", "--workers -3"),
 ]

@@ -7,9 +7,12 @@ digests (``tools/lossy_run_digests.py``) leave unpinned gets a case
 here: reference and weight-based schedulers with and without a
 port-down plan, admission control that sheds, informed topology faults
 on ``islip``/``pim`` and the four LCF kernels, the fault-blind adaptive
-stance, the reference request-loss filter, service-matrix collection,
-queues small enough to drop and block at load 1.0, and a traced 3-stage
-C(4,4,4) fabric with and without a middle-switch fault. Each crossbar
+stance, request loss (on a hand-built reference scheduler; on top of
+topology faults for a kernel, a reference, a weight scheduler and the
+Section 5 protocol; with the adapter; with shedding), service-matrix
+collection, queues small enough to drop and block at load 1.0, and a
+traced 3-stage C(4,4,4) fabric plain, with a middle-switch fault and
+with request loss on an ingress and a middle switch. Each crossbar
 case runs at n = 8 and n = 80 (masks wider than one 64-bit word) in
 three instrumentation modes:
 
@@ -82,6 +85,20 @@ def _topology_plan(n: int):
     )
 
 
+def _lossy_topology_plan(n: int):
+    """:func:`_topology_plan` over a lossy control channel: requests are
+    lost at 0.3 and grants at 0.2."""
+    from dataclasses import replace
+
+    return replace(_topology_plan(n), request_loss=0.3, grant_loss=0.2)
+
+
+def _request_loss_plan(n: int):
+    from repro.faults import FaultPlan
+
+    return FaultPlan(request_loss=0.3)
+
+
 def _port_down_plan(n: int):
     from repro.faults import FaultPlan, PortDownInterval
 
@@ -93,21 +110,15 @@ def _shedding_band(n: int) -> tuple[int, int]:
     return (3 * n // 2, 3 * n)
 
 
-def _loss_filter(name: str):
-    """The plain :class:`RequestLossFilter` around the reference
-    scheduler ``name`` (what ``make_lossy_scheduler`` builds for a name
-    without a bitset kernel)."""
+def _reference(name: str):
+    """The reference scheduler ``name``, built by hand (what the
+    simulators build for a name without a bitset kernel)."""
 
     def build(config):
         from repro.baselines.registry import make_scheduler
-        from repro.faults import FaultInjector, FaultPlan
-        from repro.faults.channel import RequestLossFilter
 
-        n = config.n_ports
-        injector = FaultInjector(FaultPlan(request_loss=0.3), n, seed=config.seed)
-        return RequestLossFilter(
-            make_scheduler(name, n, iterations=config.iterations, seed=config.seed),
-            injector,
+        return make_scheduler(
+            name, config.n_ports, iterations=config.iterations, seed=config.seed
         )
 
     return build
@@ -136,8 +147,28 @@ def _crossbar_cases() -> dict[str, dict]:
             "faults": _topology_plan,
             "adapter": {"policy": policy},
         }
+    # Request loss alone, on hand-built reference schedulers (the names
+    # are the stored digests' keys).
     for name in ("lcf_central_rr", "islip", "lqf"):
-        cases[f"loss-filter-{name}"] = {"scheduler": _loss_filter(name)}
+        cases[f"loss-filter-{name}"] = {
+            "scheduler": _reference(name), "faults": _request_loss_plan,
+        }
+    # Request loss on top of topology faults, one case per entry point
+    # (masks, matrix, weights) and the Section 5 protocol, which loses
+    # its own messages; then with the adapter and with shedding.
+    for name in ("lcf_central_rr", "greedy", "lqf", "lcf_dist_rr"):
+        cases[f"lossy-informed-{name}"] = {
+            "scheduler": name, "faults": _lossy_topology_plan,
+        }
+    cases["lossy-blind-adaptive-lcf_central_rr"] = {
+        "scheduler": "lcf_central_rr",
+        "faults": _lossy_topology_plan,
+        "adapter": {"policy": "adaptive"},
+    }
+    cases["lossy-admission-lcf_central_rr"] = {
+        "scheduler": "lcf_central_rr", "load": 1.0, "admission": _shedding_band,
+        "faults": _request_loss_plan,
+    }
     cases["service-lcf_central_rr"] = {
         "scheduler": "lcf_central_rr", "collect_service": True,
     }
@@ -178,8 +209,14 @@ def _run_crossbar(n: int, mode: str, *, scheduler, load=LOAD, faults=None,
     admission = admission(n) if admission is not None else None
     if callable(scheduler):
         # A hand-built scheduler, driven by the same block loop.
+        from repro.faults import FaultInjector
+
         switch = InputQueuedSwitch(
-            config, scheduler(config), tracer=tracer, metrics=metrics
+            config,
+            scheduler(config),
+            tracer=tracer,
+            metrics=metrics,
+            injector=FaultInjector(plan, n, seed=SEED) if plan is not None else None,
         )
         pattern = make_traffic("bernoulli", n, load, seed=SEED)
         simulator._drive(config, switch, pattern, None)
@@ -212,9 +249,17 @@ def _fabric_cases() -> dict[str, dict]:
         (1, 0, (("port_down", ((0, 40, 120, "output"),)),)),
         (1, 2, (("link_down", ((1, 2, 10, 150),)),)),
     )
+    ingress_and_middle_loss = (
+        (0, 1, (("request_loss", 0.3),)),
+        (1, 2, (("request_loss", 0.3),)),
+    )
     return {
         "fabric-c444": {},
         "fabric-c444-middle-fault": {"stage_faults": middle_fault},
+        "fabric-c444-lossy": {
+            "schedulers": ("lcf_central_rr", "islip", "lcf_dist_rr"),
+            "stage_faults": ingress_and_middle_loss,
+        },
     }
 
 
